@@ -21,8 +21,20 @@
 //! blobs, and the loop returns a [`DaemonReport`] — the binary then
 //! exits 0.
 //!
+//! Idle waiting: a socket-loop pass that made no progress waits before
+//! the next one. With a cycle in flight it blocks on the execution
+//! thread's completion channel, so the loop wakes the moment the cycle
+//! is done; otherwise it sleeps. Either wait backs off exponentially
+//! from a 20 µs floor to 1 ms and resets on any pass that makes
+//! progress, so a closed-loop client's next request is picked up at once
+//! while an idle daemon settles at one wake-up per millisecond. The
+//! poll clock ([`TransportMux::tick`]) ticks on every pass that makes
+//! progress and once per millisecond of accumulated idle wait, so on
+//! an idle daemon a partial frame ages one poll per millisecond,
+//! however short the individual waits.
+//!
 //! This module is Driver-class code: it does real I/O, spawns the
-//! execution thread, and sleeps between idle polls. Everything
+//! execution thread, and waits between idle polls. Everything
 //! byte-relevant stays inside the deterministic
 //! [`transport`](crate::transport) and [`server`](crate::server)
 //! layers.
@@ -42,8 +54,14 @@ use std::time::Duration;
 /// Socket read size per syscall.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Idle poll sleep (only taken when a pass made no progress at all).
+/// Longest idle wait between poll passes, and the idle time per poll
+/// clock tick.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
+
+/// First idle wait after a pass that made progress: short enough that a
+/// closed-loop client's next request, arriving tens of µs after its
+/// replies go out, is picked up without a millisecond's delay.
+const IDLE_WAIT_FLOOR: Duration = Duration::from_micros(20);
 
 /// Poll passes the drain phase spends flushing owed bytes to slow
 /// readers before force-closing them.
@@ -66,6 +84,47 @@ pub struct DaemonReport {
     pub cycles: u64,
     /// Sessions parked as snapshot blobs by the graceful drain.
     pub parked_sessions: usize,
+}
+
+/// The socket loop's idle-wait policy, kept free of clocks so it can be
+/// tested: after each pass it says whether the pass ticks the poll
+/// clock and how long to wait before the next pass.
+struct IdleWait {
+    /// The wait the next idle pass takes.
+    next: Duration,
+    /// Idle wait accumulated since the last idle tick (below
+    /// `IDLE_SLEEP` between passes).
+    untick: Duration,
+}
+
+impl IdleWait {
+    fn new() -> Self {
+        IdleWait {
+            next: IDLE_WAIT_FLOOR,
+            untick: Duration::ZERO,
+        }
+    }
+
+    /// Records one pass. A pass that made progress always ticks and
+    /// takes no wait (gating its tick would let a busy connection — the
+    /// slow-trickle attacker included — freeze the clock), and resets
+    /// the backoff. An idle pass takes the current wait, doubles the
+    /// next one up to `IDLE_SLEEP`, and ticks once per `IDLE_SLEEP` of
+    /// accumulated waiting, however short the individual waits.
+    fn after_pass(&mut self, progress: bool) -> (bool, Option<Duration>) {
+        if progress {
+            self.next = IDLE_WAIT_FLOOR;
+            return (true, None);
+        }
+        let wait = self.next;
+        self.next = wait.saturating_mul(2).min(IDLE_SLEEP);
+        self.untick = self.untick.saturating_add(wait);
+        let tick = self.untick >= IDLE_SLEEP;
+        if tick {
+            self.untick -= IDLE_SLEEP;
+        }
+        (tick, Some(wait))
+    }
 }
 
 /// The execution side of the pipeline: a thread that owns the server,
@@ -139,6 +198,9 @@ pub fn serve_listener(
     let mut socks: BTreeMap<ConnId, TcpStream> = BTreeMap::new();
     let mut report = DaemonReport::default();
     let mut cycle_in_flight = false;
+    // A completion received while waiting, absorbed by the next pass.
+    let mut completed: Option<CompletedCycle> = None;
+    let mut idle = IdleWait::new();
     let mut buf = vec![0u8; READ_CHUNK];
     let mut draining = false;
     let mut lingering: Vec<(TcpStream, usize)> = Vec::new();
@@ -197,7 +259,7 @@ pub fn serve_listener(
         }
 
         if cycle_in_flight {
-            match exec.done_rx.try_recv() {
+            match completed.take().map_or_else(|| exec.done_rx.try_recv(), Ok) {
                 Ok(done) => {
                     mux.absorb(done);
                     cycle_in_flight = false;
@@ -313,13 +375,21 @@ pub fn serve_listener(
             continue; // run the cleanup cycles the disconnects queued
         }
 
-        // The poll clock must advance every pass: gating the tick on an
-        // idle pass would let any busy connection — including a
-        // slow-trickle attacker itself — keep the clock frozen and the
-        // IdlePartialFrame defense inert. Only the sleep is gated.
-        mux.tick();
-        if !progress {
-            thread::sleep(IDLE_SLEEP);
+        let (tick, wait) = idle.after_pass(progress);
+        if tick {
+            mux.tick();
+        }
+        match wait {
+            // Wake the moment the cycle completes.
+            Some(wait) if cycle_in_flight => match exec.done_rx.recv_timeout(wait) {
+                Ok(done) => completed = Some(done),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(io::Error::other("execution thread died"));
+                }
+            },
+            Some(wait) => thread::sleep(wait),
+            None => {}
         }
     }
 
@@ -433,4 +503,68 @@ pub fn client_round_trip(addr: impl ToSocketAddrs, script: &[u8]) -> io::Result<
 /// binary's SIGTERM/SIGINT handler stores `true`.
 pub fn shutdown_flag() -> Arc<AtomicBool> {
     Arc::new(AtomicBool::new(false))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn idle_waits(idle: &mut IdleWait, passes: usize) -> Vec<Duration> {
+        (0..passes)
+            .map(|_| idle.after_pass(false).1.expect("an idle pass waits"))
+            .collect()
+    }
+
+    #[test]
+    fn idle_wait_doubles_from_the_floor_and_saturates_at_idle_sleep() {
+        let mut idle = IdleWait::new();
+        let us = |n| Duration::from_micros(n);
+        assert_eq!(
+            idle_waits(&mut idle, 9),
+            [20, 40, 80, 160, 320, 640, 1000, 1000, 1000].map(us)
+        );
+        assert!(idle_waits(&mut idle, 1_000)
+            .iter()
+            .all(|&w| w == IDLE_SLEEP));
+    }
+
+    #[test]
+    fn progress_ticks_without_waiting_and_resets_the_backoff() {
+        let mut idle = IdleWait::new();
+        idle_waits(&mut idle, 20);
+        assert_eq!(idle.after_pass(true), (true, None));
+        assert_eq!(idle.after_pass(true), (true, None));
+        assert_eq!(
+            idle_waits(&mut idle, 2),
+            [IDLE_WAIT_FLOOR, 2 * IDLE_WAIT_FLOOR]
+        );
+    }
+
+    /// The poll clock's idle rate: one tick per `IDLE_SLEEP` waited,
+    /// however progress interrupts the backoff.
+    #[test]
+    fn idle_ticks_total_one_per_idle_sleep_of_waiting() {
+        let mut idle = IdleWait::new();
+        let (mut waited, mut ticks) = (Duration::ZERO, 0u128);
+        for pass in 0u32..10_000 {
+            // Progress every few passes, at an irregular period.
+            let progress = pass % 7 == 0 || pass % 11 == 0;
+            let (tick, wait) = idle.after_pass(progress);
+            if !progress {
+                waited += wait.expect("an idle pass waits");
+                ticks += u128::from(tick);
+                assert_eq!(ticks, waited.as_micros() / IDLE_SLEEP.as_micros());
+            }
+        }
+        assert!(ticks > 100);
+
+        // A truly idle daemon settles within six passes (1.26 ms, one
+        // tick) at one wake-up, and one tick, per IDLE_SLEEP.
+        let mut idle = IdleWait::new();
+        let settle: Vec<_> = (0..6).map(|_| idle.after_pass(false)).collect();
+        assert_eq!(settle.iter().filter(|(tick, _)| *tick).count(), 1);
+        for _ in 0..100 {
+            assert_eq!(idle.after_pass(false), (true, Some(IDLE_SLEEP)));
+        }
+    }
 }

@@ -7,10 +7,10 @@
 
 use nvsim::backends::build_server;
 use nvsim::serve::protocol::{write_frame, Command, FrameDecoder};
-use nvsim::serve::scripts::{connection_script, encode, smoke_script};
+use nvsim::serve::scripts::{connection_script, encode, open_cmd, smoke_script};
 use nvsim::serve::transport::{StreamError, TransportConfig, TransportEngine};
-use nvsim::serve::{daemon, ProtocolErrorKind, ServerConfig};
-use nvsim::types::DetRng;
+use nvsim::serve::{daemon, ProtocolErrorKind, Server, ServerConfig};
+use nvsim::types::{BackendConfig, BackendKind, ConfigError, DetRng, MemoryBackend};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -465,6 +465,63 @@ fn trickler_is_cut_off_while_the_daemon_is_busy() {
         .join()
         .expect("daemon thread")
         .expect("clean drain");
+}
+
+/// A backend factory that panics, killing the daemon's execution thread
+/// on the first `Open`.
+fn panicking_factory(
+    _: BackendKind,
+    _: &BackendConfig,
+) -> Result<Box<dyn MemoryBackend>, ConfigError> {
+    panic!("backend construction fails")
+}
+
+/// The execution thread dying mid-cycle is loop-fatal: `serve_listener`
+/// returns `Err` promptly instead of waiting on a completion that never
+/// comes, and its connections close.
+#[test]
+fn exec_thread_death_is_reported_not_hung_on() {
+    use std::io::{Read as _, Write as _};
+    use std::time::Duration;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = Server::new(panicking_factory, ServerConfig::with_workers(1));
+    let (result_tx, result_rx) = std::sync::mpsc::channel();
+    let daemon_thread = std::thread::spawn(move || {
+        let result = daemon::serve_listener(
+            listener,
+            server,
+            TransportConfig::default(),
+            daemon::shutdown_flag(),
+        );
+        result_tx.send(result).expect("test is waiting");
+    });
+
+    let mut sock = std::net::TcpStream::connect(addr).expect("connect");
+    sock.write_all(&encode(&[open_cmd(1)])).expect("send Open");
+    let result = result_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the daemon loop hung after its execution thread died");
+    let err = result.expect_err("a dead execution thread is loop-fatal");
+    assert!(err.to_string().contains("execution thread died"), "{err}");
+    daemon_thread.join().expect("daemon thread");
+
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut sink = Vec::new();
+    match sock.read_to_end(&mut sink) {
+        Ok(_) => assert!(sink.is_empty(), "no response was owed"),
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            panic!("the client's connection was left open")
+        }
+        Err(_) => {} // a reset also closes it
+    }
 }
 
 /// The stdio path: `serve_stream` over in-memory pipes answers the same
