@@ -10,7 +10,7 @@ use nvsim::prelude::*;
 use nvsim::types::snapshot::{restore_blob, save_blob, SnapshotErrorKind, MAGIC, VERSION};
 use nvsim::types::trace::JsonlSink;
 use nvsim::types::DetRng;
-use nvsim::vans::{MemorySystem, VansConfig};
+use nvsim::vans::{LazyCacheConfig, MemorySystem, PreTranslationConfig, VansConfig};
 use proptest::prelude::*;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -167,6 +167,156 @@ fn mid_flight_cut_with_busy_queues_roundtrips() {
     assert_eq!(straight.counters(), restored.counters());
     assert_eq!(straight.now(), restored.now());
     assert_eq!(straight.save_snapshot(), restored.save_snapshot());
+}
+
+/// FNV-1a 64 of a byte string.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Heap base of the cloud workloads: on a 4 GiB DIMM its pages lie far
+/// past the media's directly mapped range.
+const CLOUD_HEAP: u64 = 128 << 30;
+
+/// A fixed stream over both sides of the AIT's directly mapped range,
+/// then 256 B nt-stores fenced one by one into two pages of a single
+/// 64 KiB wear block, the other fourteen pages never translated. On one
+/// DIMM the block migrates twice; with the Lazy cache on, each of the two
+/// DIMMs the pages land on migrates once before its cache absorbs the
+/// rest.
+fn golden_stream(sys: &mut MemorySystem) {
+    let mut rng = DetRng::seed_from(0x901d);
+    for _ in 0..3_000u64 {
+        let low = Addr::new(rng.range_u64(0, (64 << 20) / 64) * 64);
+        let heap = Addr::new(CLOUD_HEAP + rng.range_u64(0, (64 << 20) / 64) * 64);
+        sys.execute(RequestDesc::load(low));
+        sys.execute(RequestDesc::new(low, 64, MemOp::NtStore));
+        sys.execute(RequestDesc::load(heap));
+        sys.execute(RequestDesc::new(heap, 64, MemOp::NtStore));
+    }
+    let block = 256u64 << 20;
+    for i in 0..48_000u64 {
+        let addr = Addr::new(block + (i % 2) * 4096 + (i / 2 % 16) * 256);
+        sys.execute(RequestDesc::new(addr, 256, MemOp::NtStore));
+        sys.fence();
+    }
+}
+
+/// The continuation both copies run after the restore.
+fn golden_tail(sys: &mut MemorySystem) {
+    let mut rng = DetRng::seed_from(0x7a11);
+    for i in 0..1_000u64 {
+        let base = if i % 2 == 0 { 0 } else { CLOUD_HEAP };
+        let addr = Addr::new(base + rng.range_u64(0, (64 << 20) / 64) * 64);
+        if i % 3 == 0 {
+            sys.execute(RequestDesc::new(addr, 64, MemOp::NtStore));
+        } else {
+            sys.execute(RequestDesc::load(addr));
+        }
+    }
+}
+
+/// Recorded simulator state after [`golden_stream`]: the snapshot
+/// blob's length and FNV-1a 64 digest, the final clock, the counters.
+/// These pin the snapshot format and every simulated byte; a change to
+/// the AIT's bookkeeping must leave them exactly as they are.
+struct Golden {
+    blob_len: usize,
+    blob_fnv: u64,
+    now_ps: u64,
+    counters: BackendCounters,
+}
+
+/// Runs [`golden_stream`] on a fresh system, compares it with `want`,
+/// then restores the blob into another fresh system and requires both to
+/// save the same blob after the same continuation.
+fn check_golden(build: impl Fn() -> MemorySystem, want: &Golden) {
+    let mut sys = build();
+    golden_stream(&mut sys);
+    let blob = sys.save_snapshot().expect("vans supports snapshots");
+    let counters = sys.counters();
+    assert!(counters.migrations >= 2, "{counters:?}");
+    assert_eq!(
+        (blob.len(), fnv1a64(&blob), sys.now().as_ps()),
+        (want.blob_len, want.blob_fnv, want.now_ps),
+        "blob length, blob digest, final clock"
+    );
+    assert_eq!(counters, want.counters);
+
+    let mut restored = build();
+    restored
+        .restore_snapshot(&blob)
+        .expect("same configuration");
+    assert_eq!(restored.save_snapshot().as_deref(), Some(&blob[..]));
+    golden_tail(&mut sys);
+    golden_tail(&mut restored);
+    assert_eq!(sys.save_snapshot(), restored.save_snapshot());
+}
+
+/// Simulated bytes of a single-DIMM system are pinned.
+#[test]
+fn golden_bytes_single_dimm() {
+    check_golden(
+        || MemorySystem::new(VansConfig::optane_1dimm()).expect("valid preset"),
+        &Golden {
+            blob_len: 178_858,
+            blob_fnv: 0xcf59_e4d2_d518_56a7,
+            now_ps: 11_531_351_750,
+            counters: BackendCounters {
+                bus_reads: 6_000,
+                bus_writes: 198_000,
+                bus_bytes_read: 384_000,
+                bus_bytes_written: 12_672_000,
+                rmw_hits: 47_969,
+                rmw_misses: 12_031,
+                ait_hits: 60_501,
+                ait_misses: 5_498,
+                media_bytes_read: 22_650_880,
+                media_bytes_written: 5_873_664,
+                migrations: 2,
+                lsq_combines: 48_000,
+                on_dimm_dram_accesses: 71_497,
+                fences: 48_000,
+            },
+        },
+    );
+}
+
+/// Simulated bytes of six interleaved DIMMs with both case studies on
+/// are pinned.
+#[test]
+fn golden_bytes_six_dimms_with_case_studies() {
+    check_golden(
+        || {
+            let mut sys = MemorySystem::new(VansConfig::optane_6dimm()).expect("valid preset");
+            sys.enable_lazy_cache(LazyCacheConfig::paper());
+            sys.enable_pretranslation(PreTranslationConfig::paper());
+            sys
+        },
+        &Golden {
+            blob_len: 86_511,
+            blob_fnv: 0x0216_59c3_813e_2698,
+            now_ps: 10_911_631_250,
+            counters: BackendCounters {
+                bus_reads: 6_000,
+                bus_writes: 198_000,
+                bus_bytes_read: 384_000,
+                bus_bytes_written: 12_672_000,
+                rmw_hits: 40_968,
+                rmw_misses: 12_018,
+                ait_hits: 53_517,
+                ait_misses: 5_458,
+                media_bytes_read: 22_487_040,
+                media_bytes_written: 131_072,
+                migrations: 2,
+                lsq_combines: 48_005,
+                on_dimm_dram_accesses: 64_433,
+                fences: 48_000,
+            },
+        },
+    );
 }
 
 /// Old-version and corrupt blobs are rejected with a clean, typed
