@@ -194,6 +194,7 @@ impl XpointMedia {
         } else {
             self.cfg.read_latency
         };
+        let bus = self.cfg.bus_time(unit);
         let mut done = earliest;
         for u in start_unit..=end_unit {
             let die = (u % self.cfg.dies as u64) as usize;
@@ -202,7 +203,7 @@ impl XpointMedia {
             self.die_free[die] = array_done;
             // The unit's data then crosses the internal bus.
             let bus_start = array_done.max(self.bus_free);
-            let bus_done = bus_start + self.cfg.bus_time(unit);
+            let bus_done = bus_start + bus;
             self.bus_free = bus_done;
             done = done.max(bus_done);
             if write {

@@ -683,6 +683,14 @@ impl Command {
                             ProtocolErrorKind::BadField("data request with zero size"),
                         ));
                     }
+                    // A range past the end of the address space has no
+                    // end address; its line count would wrap to nearly 2^64.
+                    if addr.checked_add(u64::from(size)).is_none() {
+                        return Err(ProtocolError::new(
+                            base + at,
+                            ProtocolErrorKind::BadField("request range wraps the address space"),
+                        ));
+                    }
                     reqs.push(RequestDesc {
                         addr: Addr::new(addr),
                         size,
@@ -1207,15 +1215,20 @@ mod tests {
     #[test]
     fn invalid_request_sizes_rejected_not_panicked() {
         // A fence with a nonzero size (or a data op with zero size)
-        // violates `RequestDesc::new`'s contract; on the wire it must
-        // be a typed error, not a panic.
-        for (op, size, what) in [(4u8, 64u32, "fence"), (0u8, 0u32, "load")] {
+        // violates `RequestDesc::new`'s contract, and a range that wraps
+        // the address space has no line count; on the wire each must be
+        // a typed error, not a panic or an endless batch.
+        for (op, addr, size, what) in [
+            (4u8, 0x40u64, 64u32, "fence"),
+            (0u8, 0x40, 0u32, "load"),
+            (0u8, u64::MAX - 10, 64, "wrapping load"),
+        ] {
             let mut w = SnapshotWriter::new();
             w.put_u8(CMD_BATCH);
             w.put_u64(1);
             w.put_usize(1);
             w.put_u8(op);
-            w.put_u64(0x40);
+            w.put_u64(addr);
             w.put_u32(size);
             let mut buf = Vec::new();
             write_frame(&mut buf, &w.into_bytes());

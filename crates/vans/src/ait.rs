@@ -36,6 +36,117 @@ pub struct AitStats {
     pub stalled_writes: u64,
 }
 
+/// Physical page → media frame, for every page the AIT has translated.
+///
+/// Pages below the media's directly mapped range (`capacity_bytes /
+/// entry_bytes`) index a vector holding `frame + 1`, where 0 means never
+/// translated. The vector grows on demand to the highest such page
+/// translated, so a small footprint never pays for the whole range.
+/// Pages at or past that range (the cloud heap at 128 GiB, page-walk
+/// tables at 1 TiB, any page a snapshot names) stay in an ordered map,
+/// so memory stays bounded by the configuration, not by the address.
+///
+/// Iteration is ascending by page: every dense page lies below every
+/// sparse one. [`Ait::remap_block`] assigns new frames in this order and
+/// snapshots list entries in it.
+#[derive(Debug)]
+struct TranslationTable {
+    /// `frame + 1` per page below `dense_pages`; 0 = never translated.
+    dense: Vec<u64>,
+    /// Translated pages held in `dense`.
+    dense_len: usize,
+    /// The directly mapped range; pages below it index `dense`.
+    dense_pages: usize,
+    /// Translated pages at or past `dense_pages`.
+    sparse: BTreeMap<u64, u64>,
+}
+
+impl TranslationTable {
+    fn new(dense_pages: u64) -> Self {
+        TranslationTable {
+            dense: Vec::new(),
+            dense_len: 0,
+            dense_pages: usize::try_from(dense_pages).unwrap_or(usize::MAX),
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    /// Number of translated pages.
+    fn len(&self) -> usize {
+        self.dense_len + self.sparse.len()
+    }
+
+    /// The page's index into `dense`, or `None` for pages at or past the
+    /// directly mapped range.
+    fn dense_slot(&self, page: u64) -> Option<usize> {
+        usize::try_from(page).ok().filter(|&i| i < self.dense_pages)
+    }
+
+    /// Grows `dense` (with never-translated slots) to hold index `i`.
+    fn grow_to(&mut self, i: usize) {
+        if i >= self.dense.len() {
+            self.dense.resize(i + 1, 0);
+        }
+    }
+
+    /// The page's frame, if it was ever translated.
+    fn get(&self, page: u64) -> Option<u64> {
+        match self.dense_slot(page) {
+            Some(i) => self.dense.get(i).and_then(|&stored| stored.checked_sub(1)),
+            None => self.sparse.get(&page).copied(),
+        }
+    }
+
+    /// True if the page was ever translated.
+    fn contains(&self, page: u64) -> bool {
+        self.get(page).is_some()
+    }
+
+    /// The page's frame; a never-translated page is recorded as mapping
+    /// to its own index.
+    fn frame(&mut self, page: u64) -> u64 {
+        let Some(i) = self.dense_slot(page) else {
+            return *self.sparse.entry(page).or_insert(page);
+        };
+        self.grow_to(i);
+        if self.dense[i] == 0 {
+            self.dense[i] = page + 1;
+            self.dense_len += 1;
+        }
+        self.dense[i] - 1
+    }
+
+    /// Maps `page` to `frame`. Frames are media frame indices whose byte
+    /// addresses fit in a `u64` (restore rejects any other), so
+    /// `frame + 1` cannot overflow.
+    fn insert(&mut self, page: u64, frame: u64) {
+        let Some(i) = self.dense_slot(page) else {
+            self.sparse.insert(page, frame);
+            return;
+        };
+        self.grow_to(i);
+        if self.dense[i] == 0 {
+            self.dense_len += 1;
+        }
+        self.dense[i] = frame + 1;
+    }
+
+    /// Forgets every translation.
+    fn clear(&mut self) {
+        self.dense.clear();
+        self.dense_len = 0;
+        self.sparse.clear();
+    }
+
+    /// `(page, frame)` pairs in ascending page order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let dense = (0u64..)
+            .zip(&self.dense)
+            .filter_map(|(page, &stored)| stored.checked_sub(1).map(|frame| (page, frame)));
+        dense.chain(self.sparse.iter().map(|(&page, &frame)| (page, frame)))
+    }
+}
+
 /// The AIT model: translation table + translation cache + data buffer,
 /// timed against the on-DIMM DRAM and the media array.
 #[derive(Debug)]
@@ -48,10 +159,10 @@ pub struct Ait {
     tcache: LruBuffer,
     /// The full translation table: physical page → media frame index.
     /// Resident in on-DIMM DRAM; lookups not covered by `tcache` pay a
-    /// DRAM access. Ordered map: [`Ait::migrate`] iterates it and the
-    /// iteration order feeds the post-migration frame assignment, so it
-    /// must be deterministic.
-    translations: BTreeMap<u64, u64>,
+    /// DRAM access. [`Ait::remap_block`] iterates it and the iteration
+    /// order feeds the post-migration frame assignment, so it iterates
+    /// in ascending page order.
+    translations: TranslationTable,
     /// On-DIMM DRAM timing model.
     dram: DramModel,
     /// Media array.
@@ -81,8 +192,8 @@ impl Ait {
         Ait {
             buffer: LruBuffer::new(cfg.buffer_entries as usize),
             tcache: LruBuffer::new(cfg.translation_cache_entries.max(1) as usize),
+            translations: TranslationTable::new(capacity / cfg.entry_bytes as u64),
             cfg,
-            translations: BTreeMap::new(),
             dram,
             media,
             wear,
@@ -185,7 +296,7 @@ impl Ait {
             self.recorder.record(Stage::AitWalk, t, done);
             self.tcache.touch(page, false);
         }
-        let frame = *self.translations.entry(page).or_insert(page);
+        let frame = self.translations.frame(page);
         (MediaAddr::new(frame * self.cfg.entry_bytes as u64), done)
     }
 
@@ -194,7 +305,7 @@ impl Ait {
     /// but does not extend the requester's latency).
     fn writeback(&mut self, page: u64, t: Time) {
         self.stats.writebacks += 1;
-        let frame = *self.translations.entry(page).or_insert(page);
+        let frame = self.translations.frame(page);
         let media_addr = MediaAddr::new(frame * self.cfg.entry_bytes as u64);
         let done = self.media.write(media_addr, self.cfg.entry_bytes, t);
         // Posted: overlaps foreground time, so this span does not tile.
@@ -266,7 +377,7 @@ impl Ait {
         }
         let done = self.ensure_resident(page, true, start);
         // Record wear against the *media* block actually written.
-        let frame = *self.translations.entry(page).or_insert(page);
+        let frame = self.translations.frame(page);
         let offset = addr.raw() % self.cfg.entry_bytes as u64;
         let _ = bytes;
         let media_addr = MediaAddr::new(frame * self.cfg.entry_bytes as u64 + offset);
@@ -309,12 +420,12 @@ impl Ait {
         let affected: Vec<u64> = self
             .translations
             .iter()
-            .filter(|&(_, &f)| f >= frame_lo && f < frame_hi)
-            .map(|(&p, _)| p)
+            .filter(|&(_, f)| f >= frame_lo && f < frame_hi)
+            .map(|(p, _)| p)
             .collect();
         // Pages never explicitly translated map identity; cover those too.
         let identity_pages: Vec<u64> = (frame_lo..frame_hi)
-            .filter(|p| !self.translations.contains_key(p))
+            .filter(|&p| !self.translations.contains(p))
             .collect();
         let all: Vec<u64> = affected.into_iter().chain(identity_pages).collect();
         for (i, page) in all.iter().enumerate() {
@@ -346,14 +457,14 @@ impl Ait {
                 self.stats.translation_misses += 1;
             }
             self.tcache.touch(page, false);
-            self.translations.entry(page).or_insert(page);
+            self.translations.frame(page);
             // Dirty evictions are dropped without a timed write-back;
             // warming only tracks residency, not media traffic.
             let _ = self.buffer.touch(page, write);
         }
         if write {
             self.busy_pages.remove(&page);
-            let frame = *self.translations.entry(page).or_insert(page);
+            let frame = self.translations.frame(page);
             let offset = addr.raw() % self.cfg.entry_bytes as u64;
             let media_addr = MediaAddr::new(frame * self.cfg.entry_bytes as u64 + offset);
             if let WearEvent::Migrate { block } = self.wear.record_write(media_addr) {
@@ -380,7 +491,7 @@ impl Snapshot for Ait {
         self.buffer.save(w);
         self.tcache.save(w);
         w.put_usize(self.translations.len());
-        for (&page, &frame) in &self.translations {
+        for (page, frame) in self.translations.iter() {
             w.put_u64(page);
             w.put_u64(frame);
         }
@@ -421,6 +532,12 @@ impl Snapshot for Ait {
         for _ in 0..n {
             let page = r.get_u64()?;
             let frame = r.get_u64()?;
+            // A frame is a media frame index: one whose byte address
+            // overflows cannot name media, and `u64::MAX` has no
+            // `frame + 1` encoding in the dense table.
+            if frame.checked_mul(self.cfg.entry_bytes as u64).is_none() {
+                return Err(r.invalid("translated frame past the media address space"));
+            }
             self.translations.insert(page, frame);
         }
         self.dram.restore(r)?;
@@ -469,8 +586,21 @@ mod tests {
     use super::*;
     use nvsim_dram::DramConfig;
     use nvsim_media::{MediaConfig, WearConfig};
+    use nvsim_types::snapshot::SnapshotErrorKind;
+    use nvsim_types::DetRng;
 
     fn ait(buffer_entries: u32, wear_threshold: u64) -> Ait {
+        ait_on(MediaConfig::optane_like(), buffer_entries, wear_threshold)
+    }
+
+    /// An AIT over 256 KiB of media: 64 directly mapped pages.
+    fn small_ait() -> Ait {
+        let mut media = MediaConfig::optane_like();
+        media.capacity_bytes = 256 << 10;
+        ait_on(media, 16, 1_000_000)
+    }
+
+    fn ait_on(media: MediaConfig, buffer_entries: u32, wear_threshold: u64) -> Ait {
         let cfg = AitConfig {
             buffer_entries,
             entry_bytes: 4096,
@@ -480,7 +610,7 @@ mod tests {
         let mut dram_cfg = DramConfig::on_dimm_512mb();
         dram_cfg.refresh_enabled = false;
         let dram = DramModel::new(dram_cfg).unwrap();
-        let media = XpointMedia::new(MediaConfig::optane_like()).unwrap();
+        let media = XpointMedia::new(media).unwrap();
         let mut wcfg = WearConfig::optane_like();
         wcfg.threshold = wear_threshold;
         let wear = WearTracker::new(wcfg).unwrap();
@@ -565,7 +695,7 @@ mod tests {
         }
         assert_eq!(a.stats().migrations, 1);
         // The page now maps to a fresh frame past the identity region.
-        let frame = a.translations[&0];
+        let frame = a.translations.get(0).unwrap();
         assert_ne!(frame, 0);
         // And wear of the new block starts cold: many more writes needed
         // before the next migration.
@@ -602,5 +732,92 @@ mod tests {
             now = a.write(Addr::new(0), 256, now);
         }
         assert_eq!(a.stats().migrations, 1);
+    }
+
+    /// The table against an ordered map with the semantics it replaced:
+    /// lookups insert identity (`entry(page).or_insert(page)`), inserts
+    /// overwrite, clears empty it. Pages fall on both sides of the
+    /// directly mapped range and far past it.
+    #[test]
+    fn translation_table_matches_ordered_map_reference() {
+        let mut table = small_ait().translations;
+        assert_eq!(table.dense_pages, 64);
+        let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut rng = DetRng::seed_from(0x7ab1e);
+        for _ in 0..20_000 {
+            let page = match rng.range_u64(0, 4) {
+                0 => rng.range_u64(0, 64),
+                1 => rng.range_u64(64, 128),
+                2 => rng.range_u64(0, 128),
+                _ => (1 << 40) + rng.range_u64(0, 4),
+            };
+            match rng.range_u64(0, 100) {
+                0 => {
+                    table.clear();
+                    reference.clear();
+                }
+                1..=40 => {
+                    assert_eq!(table.frame(page), *reference.entry(page).or_insert(page));
+                }
+                41..=70 => {
+                    let frame = rng.range_u64(0, 256);
+                    table.insert(page, frame);
+                    reference.insert(page, frame);
+                }
+                _ => assert_eq!(table.get(page), reference.get(&page).copied()),
+            }
+            assert_eq!(table.len(), reference.len());
+            assert_eq!(table.contains(page), reference.contains_key(&page));
+            assert!(table.iter().eq(reference.iter().map(|(&p, &f)| (p, f))));
+            assert!(table.dense.len() <= 64);
+        }
+    }
+
+    /// A blob of `a` whose translation table lists `entries` instead of
+    /// `a`'s own (empty) table; every other byte comes from `a.save`.
+    fn blob_with_translations(a: &Ait, entries: &[(u64, u64)]) -> Vec<u8> {
+        assert_eq!(a.translations.len(), 0);
+        let mut w = SnapshotWriter::new();
+        w.section(SECTION_AIT);
+        a.buffer.save(&mut w);
+        a.tcache.save(&mut w);
+        let count_at = w.len();
+        let mut w = SnapshotWriter::new();
+        a.save(&mut w);
+        let mut blob = w.into_bytes();
+        let mut table = SnapshotWriter::new();
+        table.put_usize(entries.len());
+        for &(page, frame) in entries {
+            table.put_u64(page);
+            table.put_u64(frame);
+        }
+        blob.splice(count_at..=count_at, table.into_bytes());
+        blob
+    }
+
+    #[test]
+    fn far_page_restores_without_growing_the_dense_table() {
+        let blob = blob_with_translations(&small_ait(), &[(1 << 40, 9)]);
+        let mut a = small_ait();
+        let mut r = SnapshotReader::new(&blob);
+        a.restore(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(a.translations.get(1 << 40), Some(9));
+        assert_eq!(a.translations.dense.capacity(), 0);
+        let mut w = SnapshotWriter::new();
+        a.save(&mut w);
+        assert_eq!(w.into_bytes(), blob);
+    }
+
+    #[test]
+    fn unencodable_frame_is_rejected() {
+        let blob = blob_with_translations(&small_ait(), &[(3, u64::MAX)]);
+        let mut a = small_ait();
+        let err = a.restore(&mut SnapshotReader::new(&blob)).unwrap_err();
+        assert!(
+            matches!(err.kind, SnapshotErrorKind::Invalid(what) if what.contains("frame")),
+            "{err}"
+        );
+        assert!(!a.translations.contains(3));
     }
 }
