@@ -63,9 +63,10 @@ fn workload_names() -> Vec<String> {
 }
 
 /// Scheduler cost of the first combination's points; successive
-/// combinations step down by [`COST_STEP`] so the largest-first
-/// schedule works combo-major and at most one checkpoint chain per
-/// worker is alive at a time.
+/// combinations step down by [`COST_STEP`]. The pool claims points
+/// largest first from one shared cursor, so every point of a combination
+/// is claimed before any of the next: work proceeds combo-major and at
+/// most one checkpoint chain per worker is alive at a time.
 const CASE_STUDY_COST: u64 = 48 << 20;
 const COST_STEP: u64 = 64;
 

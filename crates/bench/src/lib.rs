@@ -7,8 +7,8 @@
 //! makes). The `nvsim-bench` binary prints the tables and writes
 //! CSV + a markdown summary under `results/`.
 //!
-//! Criterion benches (`benches/`) wrap reduced-size versions of the same
-//! experiment functions for performance tracking.
+//! `nvsim-bench perf` ([`perf`]) times a reduced point of each figure
+//! family for performance tracking.
 
 #![warn(missing_docs)]
 

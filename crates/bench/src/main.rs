@@ -6,7 +6,7 @@
 //! nvsim-bench all --jobs 4       # same, on 4 workers (byte-identical CSVs)
 //! nvsim-bench fig5a fig7b        # run specific experiments
 //! nvsim-bench trace fig9a        # per-stage latency attribution -> results/trace/
-//! nvsim-bench perf               # engine req/s -> BENCH_engine.json
+//! nvsim-bench perf               # engine req/s + figure points -> BENCH_engine.json
 //! nvsim-bench lint-bench         # analyzer cold/warm files/s -> BENCH_lint.json
 //! nvsim-bench crashsweep         # power-fail injection sweep -> results/crash.csv
 //! nvsim-bench crashsweep --smoke # reduced sweep for CI
@@ -19,9 +19,8 @@
 //! nvsim-bench serve-smoke        # service determinism byte-compare (workers 1 vs 2)
 //! ```
 //!
-//! Worker count: `--jobs N` wins, then the `NVSIM_JOBS` environment
-//! variable, then the machine's available parallelism. Results are
-//! byte-identical across worker counts (see `runner`).
+//! Worker count: `--jobs N`, else the machine's available parallelism.
+//! Results are byte-identical across worker counts (see `runner`).
 
 use nvsim_bench::{registry, runnable_for, runner, tracecmd};
 use std::path::PathBuf;
@@ -229,14 +228,20 @@ fn main() {
     }
     if args[0] == "perf" {
         let path = PathBuf::from("BENCH_engine.json");
-        eprintln!(">> measuring engine req/s (this takes a minute) ...");
+        eprintln!(">> measuring engine req/s and figure points ...");
         let engine = nvsim_bench::perf::engine_micro();
         for (k, v) in &engine {
             println!("{k:<36} {v:>14.0}");
         }
-        if let Err(e) = nvsim_bench::perf::record(&path, "engine", engine) {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
+        let figures = nvsim_bench::perf::figure_points();
+        for (k, v) in &figures {
+            println!("{k:<36} {v:>14.3}");
+        }
+        for (section, entries) in [("engine", engine), ("figures", figures)] {
+            if let Err(e) = nvsim_bench::perf::record(&path, section, entries) {
+                eprintln!("could not write {}: {e}", path.display());
+                std::process::exit(1);
+            }
         }
         eprintln!("recorded -> {}", path.display());
         return;

@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn csv_round_trip() {
-        let dir = std::env::temp_dir().join("nvsim_bench_test_csv");
+        let dir = std::env::temp_dir().join(format!("nvsim_bench_test_csv_{}", std::process::id()));
         sample().write_csv(&dir).unwrap();
         let body = std::fs::read_to_string(dir.join("figX.csv")).unwrap();
         assert!(body.starts_with("size,a,b\n"));

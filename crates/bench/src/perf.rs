@@ -1,21 +1,26 @@
 //! `nvsim-bench perf`: a machine-readable perf trajectory.
 //!
-//! Measures requests per second through each simulation substrate (the
-//! same micro-workloads as the criterion `engine` bench, with fixed
-//! deterministic access streams) and records them in `BENCH_engine.json`
-//! at the repo root. `nvsim-bench all --jobs N` additionally records its
-//! wall clock under the `runner` section, so the file tracks both the
-//! single-thread engine trajectory and the parallel-runner payoff
-//! across PRs.
+//! Measures requests per second through each simulation substrate (fixed
+//! deterministic access streams) and the wall time of one reduced point
+//! per figure family, and records them in the `engine` and `figures`
+//! sections of `BENCH_engine.json` at the repo root. `nvsim-bench all
+//! --jobs N` additionally records its wall clock under the `runner`
+//! section, so the file tracks the single-thread engine trajectory, the
+//! per-figure cost and the runner's wall clock across PRs.
 //!
 //! The file is a flat two-level JSON object (`section -> key -> number`)
 //! written and re-parsed by this module alone — no serde dependency, and
 //! updates merge instead of clobbering other sections.
 
-use nvsim_dram::{DramConfig, DramModel};
+use lens::microbench::{Overwrite, PtrChasing, Stride};
+use nvsim_baselines::{DramBackend, PmepBackend, PmepConfig};
+use nvsim_cpu::{Core, CoreConfig};
+use nvsim_dram::{DramConfig, DramModel, ProtocolChecker};
 use nvsim_media::{MediaAddr, MediaConfig, XpointMedia};
-use nvsim_types::{Addr, MemoryBackend, RequestDesc, Time};
+use nvsim_types::{Addr, MemOp, MemoryBackend, RequestDesc, Time};
+use nvsim_workloads::{Redis, SpecWorkloadGen, Workload};
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::io;
 use std::path::Path;
 use std::time::Instant;
@@ -24,22 +29,31 @@ use vans::{MemorySystem, VansConfig};
 /// `section -> key -> value`, the whole content of `BENCH_engine.json`.
 pub type PerfFile = BTreeMap<String, BTreeMap<String, f64>>;
 
-/// Times `iters` calls of `step` and returns calls per second (best of
-/// `samples` runs, after one warm-up run).
-fn reqs_per_sec(iters: u64, samples: u32, mut step: impl FnMut(u64)) -> f64 {
+/// Best wall-clock seconds of `samples` calls of `run`, after one
+/// warm-up call.
+fn best_secs(samples: u32, mut run: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for s in 0..=samples {
         let t0 = Instant::now();
-        for i in 0..iters {
-            step(i);
-        }
+        run();
         let dt = t0.elapsed().as_secs_f64();
         if s > 0 {
             // First run is warm-up.
             best = best.min(dt);
         }
     }
-    iters as f64 / best
+    best
+}
+
+/// Times `iters` calls of `step` and returns calls per second (best of
+/// `samples` runs, after one warm-up run).
+fn reqs_per_sec(iters: u64, samples: u32, mut step: impl FnMut(u64)) -> f64 {
+    iters as f64
+        / best_secs(samples, || {
+            for i in 0..iters {
+                step(i);
+            }
+        })
 }
 
 /// Median of a sample set (mean of the middle pair for even sizes).
@@ -183,6 +197,72 @@ pub fn engine_micro() -> BTreeMap<String, f64> {
         }),
     );
     m
+}
+
+/// Runs one reduced point per figure family and returns its milliseconds
+/// (best of 3, after one warm-up), keyed `<point>_ms`. `nvsim-bench all`
+/// regenerates the full-size figures; these track what one point costs.
+pub fn figure_points() -> BTreeMap<String, f64> {
+    let vans = || MemorySystem::new(VansConfig::optane_1dimm()).expect("valid preset");
+    // §IV-B input: the command trace of 2k mixed DDR4 accesses (~4k
+    // commands), built once; only the check is timed.
+    let mut ddr4 = DramConfig::ddr4_2666_4gb();
+    ddr4.record_commands = true;
+    let mut model = DramModel::new(ddr4.clone()).expect("valid preset");
+    let mut now = Time::ZERO;
+    for i in 0..2_000u64 {
+        now = model.access(Addr::new(i * 64 * 131 % (1 << 30)), i % 3 == 0, now);
+    }
+    let trace = model.trace().to_vec();
+    let checker = ProtocolChecker::new(ddr4);
+
+    let points: [(&str, &dyn Fn() -> f64); 8] = [
+        ("fig1b_vans_chase_64kb", &|| {
+            PtrChasing::read(64 << 10)
+                .run(&mut vans())
+                .latency_per_cl_ns()
+        }),
+        ("fig1b_pmep_chase_64kb", &|| {
+            let mut p = PmepBackend::new(PmepConfig::paper()).expect("valid preset");
+            PtrChasing::read(64 << 10).run(&mut p).latency_per_cl_ns()
+        }),
+        ("fig3b_pcm_chase_64kb", &|| {
+            let mut p = DramBackend::new(DramConfig::pcm()).expect("valid preset");
+            PtrChasing::read(64 << 10).run(&mut p).latency_per_cl_ns()
+        }),
+        ("fig1a_vans_ntstore_1mb", &|| {
+            Stride::sequential(1 << 20, MemOp::NtStore)
+                .run(&mut vans())
+                .bandwidth_gbps()
+        }),
+        ("fig7b_overwrite_2k", &|| {
+            Overwrite::small(2_000).run(&mut vans()).iter_us.len() as f64
+        }),
+        ("fig11_mcf_50k", &|| {
+            let mut gen = SpecWorkloadGen::from_table_iv("mcf", 27.1, 1.0, 42);
+            let mut core = Core::new(CoreConfig::cascade_lake_like());
+            core.run(gen.generate(50_000).into_iter(), &mut vans())
+                .ipc()
+        }),
+        ("fig12a_redis_50k", &|| {
+            let mut w = Redis::new(42);
+            let mut core = Core::new(CoreConfig::cascade_lake_like());
+            core.run(w.generate(50_000).into_iter(), &mut vans())
+                .read_cpi()
+        }),
+        ("ddr4check_4k_commands", &|| {
+            checker.check(&trace).len() as f64
+        }),
+    ];
+    points
+        .into_iter()
+        .map(|(name, point)| {
+            let secs = best_secs(3, || {
+                black_box(point());
+            });
+            (format!("{name}_ms"), secs * 1e3)
+        })
+        .collect()
 }
 
 /// Serializes the file content: sorted sections, sorted keys, values
@@ -329,7 +409,10 @@ mod tests {
 
     #[test]
     fn record_merges_sections_and_derives_reduction() {
-        let path = std::env::temp_dir().join("nvsim_perf_record_test.json");
+        let path = std::env::temp_dir().join(format!(
+            "nvsim_perf_record_test_{}.json",
+            std::process::id()
+        ));
         std::fs::remove_file(&path).ok();
         record(
             &path,

@@ -1,28 +1,28 @@
-//! Work-stealing parallel experiment runner.
+//! Parallel experiment runner.
 //!
 //! Each registry experiment is either *whole* (one indivisible unit) or
 //! *split* into independent sweep points — a probe-size × region ×
 //! configuration cell that builds its own fresh simulation
 //! ([`MemorySystem`](vans::MemorySystem) instances share nothing), runs
-//! it, and returns `(x, y)` samples. Units execute on a
-//! [`std::thread::scope`] worker pool with per-worker deques and
-//! work-stealing; results are merged **in schedule order**, so the
-//! assembled [`ExpOutput`]s — and therefore the CSV bytes written under
-//! `results/` — are identical for `--jobs 1` and `--jobs N`.
+//! it, and returns `(x, y)` samples. Units execute on the workspace's one
+//! worker pool, [`run_indexed`], largest cost first; results come back
+//! **in input order**, so the assembled [`ExpOutput`]s — and therefore
+//! the CSV bytes written under `results/` — are identical for `--jobs 1`
+//! and `--jobs N`.
 //!
 //! Determinism argument, in two halves:
 //!
 //! * *Within a point*: a point owns every piece of mutable state it
 //!   touches (fresh backend, fresh RNG seeded by the point's own
 //!   parameters), so its samples do not depend on when or where it runs.
-//! * *Across points*: point results land in a slot vector indexed by
-//!   schedule position; the merge step ([`Split::finish`]) consumes them
-//!   in that order, never in completion order.
+//! * *Across points*: units are laid out in experiment order with points
+//!   in slot order, and the merge step drains the input-ordered results
+//!   in that layout, handing each [`Split::finish`] its points in slot
+//!   order, never in completion order.
 
 use crate::output::ExpOutput;
 use crate::ExperimentFn;
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use nvsim::serve::executor::run_indexed;
 use std::time::Instant;
 
 /// Samples produced by one sweep point: `(x, y)` pairs in sweep order.
@@ -40,8 +40,8 @@ pub type ProgressFn<'a> = &'a (dyn Fn(&str, f64) + Sync);
 pub struct Point {
     /// Progress label ("fig9a/ld/16MB").
     pub label: String,
-    /// Relative cost estimate used to seed the worker deques
-    /// largest-first (for chase points: the region size in bytes).
+    /// Relative cost estimate; the pool claims larger points first (for
+    /// chase points: the region size in bytes).
     pub cost: u64,
     /// The work. Must build all mutable state it needs from scratch.
     pub run: Box<dyn FnOnce() -> PointData + Send>,
@@ -95,7 +95,7 @@ pub enum Runnable {
 }
 
 /// Resolves the number of worker threads: an explicit request wins, then
-/// `NVSIM_JOBS`, then the machine's available parallelism.
+/// the machine's available parallelism.
 ///
 /// An explicit request above the machine's available parallelism is
 /// honored (the units are CPU-bound but a user may want to test the
@@ -104,12 +104,7 @@ pub fn resolve_jobs(explicit: Option<usize>) -> usize {
     let avail = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let requested = explicit.or_else(|| {
-        std::env::var("NVSIM_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    });
-    let (jobs, oversubscribed) = resolve_jobs_with(requested, avail);
+    let (jobs, oversubscribed) = resolve_jobs_with(explicit, avail);
     if oversubscribed {
         eprintln!(
             "warning: --jobs {jobs} exceeds available parallelism ({avail}); \
@@ -120,8 +115,8 @@ pub fn resolve_jobs(explicit: Option<usize>) -> usize {
 }
 
 /// Pure core of [`resolve_jobs`]: picks the worker count from an explicit
-/// request (or `NVSIM_JOBS`) and the machine's available parallelism, and
-/// reports whether the request oversubscribes the machine.
+/// request and the machine's available parallelism, and reports whether
+/// the request oversubscribes the machine.
 fn resolve_jobs_with(requested: Option<usize>, avail: usize) -> (usize, bool) {
     match requested.filter(|&j| j > 0) {
         Some(j) => (j, j > avail),
@@ -129,19 +124,16 @@ fn resolve_jobs_with(requested: Option<usize>, avail: usize) -> (usize, bool) {
     }
 }
 
-enum UnitKind {
-    Whole(ExperimentFn),
-    Point(Box<dyn FnOnce() -> PointData + Send>),
-}
-
-/// One schedulable unit: an experiment index plus either the whole
-/// experiment or one of its points.
+/// One schedulable unit: a whole experiment or one of its points.
 struct Unit {
-    exp: usize,
-    slot: usize,
     cost: u64,
     label: String,
     kind: UnitKind,
+}
+
+enum UnitKind {
+    Whole(ExperimentFn),
+    Point(Box<dyn FnOnce() -> PointData + Send>),
 }
 
 enum UnitOut {
@@ -159,152 +151,70 @@ pub fn run(
     jobs: usize,
     progress: Option<ProgressFn<'_>>,
 ) -> Vec<ExpOutput> {
-    let n_exps = exps.len();
+    // Per experiment, the finisher and point count of a split (`None`
+    // for a whole experiment); units follow in the same order.
+    let mut merges: Vec<Option<(FinishFn, usize)>> = Vec::with_capacity(exps.len());
     let mut units: Vec<Unit> = Vec::new();
-    let mut finishers: Vec<Option<FinishFn>> = Vec::with_capacity(n_exps);
-    let mut points_per_exp: Vec<usize> = Vec::with_capacity(n_exps);
-    for (exp_idx, (id, runnable)) in exps.into_iter().enumerate() {
+    for (id, runnable) in exps {
         match runnable {
             Runnable::Whole(f) => {
+                merges.push(None);
                 units.push(Unit {
-                    exp: exp_idx,
-                    slot: 0,
                     // Whole experiments are opaque; schedule them early
                     // (alongside the largest points) so a long one does
                     // not start last and dominate the tail.
                     cost: u64::MAX,
-                    label: id.clone(),
+                    label: id,
                     kind: UnitKind::Whole(f),
                 });
-                finishers.push(None);
-                points_per_exp.push(1);
             }
             Runnable::Split(split) => {
-                points_per_exp.push(split.points.len());
-                for (slot, p) in split.points.into_iter().enumerate() {
-                    units.push(Unit {
-                        exp: exp_idx,
-                        slot,
-                        cost: p.cost,
-                        label: p.label,
-                        kind: UnitKind::Point(p.run),
-                    });
-                }
-                finishers.push(Some(split.finish));
+                merges.push(Some((split.finish, split.points.len())));
+                units.extend(split.points.into_iter().map(|p| Unit {
+                    cost: p.cost,
+                    label: p.label,
+                    kind: UnitKind::Point(p.run),
+                }));
             }
         }
     }
 
-    let total_units = units.len();
-    // (experiment, slot) of each unit index, for the merge step.
-    let meta: Vec<(usize, usize)> = units.iter().map(|u| (u.exp, u.slot)).collect();
-    let workers = jobs.clamp(1, total_units.max(1));
-
-    // Largest-first seeding over per-worker deques: sort unit indices by
-    // descending cost (stable, so equal-cost units keep schedule order)
-    // and deal them round-robin.
-    let mut order: Vec<usize> = (0..total_units).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(units[i].cost));
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            Mutex::new(
-                order
-                    .iter()
-                    .skip(w)
-                    .step_by(workers)
-                    .copied()
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
-        .collect();
-
-    // Claimable units and per-unit result slots (distinct units never
-    // contend on the same slot).
-    let units: Vec<Mutex<Option<Unit>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
-    let results: Vec<Mutex<Option<UnitOut>>> = (0..total_units).map(|_| Mutex::new(None)).collect();
-
-    let execute = |idx: usize| {
-        let Some(unit) = units[idx].lock().expect("unit lock").take() else {
-            return;
-        };
-        let started = Instant::now();
-        let out = match unit.kind {
-            UnitKind::Whole(f) => UnitOut::Whole(f()),
-            UnitKind::Point(f) => UnitOut::Point(f()),
-        };
-        if let Some(cb) = progress {
-            cb(&unit.label, started.elapsed().as_secs_f64());
-        }
-        *results[idx].lock().expect("result lock") = Some(out);
-    };
-
-    if workers <= 1 {
-        // Serial fast path: same schedule, no threads.
-        for &idx in &order {
-            execute(idx);
-        }
-    } else {
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queues = &queues;
-                let execute = &execute;
-                s.spawn(move || loop {
-                    // Own deque first (front), then steal from the back
-                    // of the longest sibling deque.
-                    let mine = queues[w].lock().expect("queue lock").pop_front();
-                    let idx = mine.or_else(|| {
-                        let mut best: Option<usize> = None;
-                        let mut best_len = 0usize;
-                        for (v, q) in queues.iter().enumerate() {
-                            if v == w {
-                                continue;
-                            }
-                            let len = q.lock().expect("queue lock").len();
-                            if len > best_len {
-                                best_len = len;
-                                best = Some(v);
-                            }
-                        }
-                        best.and_then(|v| queues[v].lock().expect("queue lock").pop_back())
-                    });
-                    match idx {
-                        Some(idx) => execute(idx),
-                        // No unit anywhere: no new work can appear.
-                        None => break,
-                    }
-                });
+    let results = run_indexed(
+        units,
+        |u| u.cost,
+        jobs,
+        |u| {
+            let started = Instant::now();
+            let out = match u.kind {
+                UnitKind::Whole(f) => UnitOut::Whole(f()),
+                UnitKind::Point(f) => UnitOut::Point(f()),
+            };
+            if let Some(cb) = progress {
+                cb(&u.label, started.elapsed().as_secs_f64());
             }
-        });
-    }
+            out
+        },
+    );
 
-    // Merge in schedule order: results are indexed by unit, units map to
-    // (experiment, slot) via `meta`, and each finisher receives its
-    // points sorted by slot — execution order never leaks through.
-    let mut point_results: Vec<Vec<Option<PointData>>> = points_per_exp
-        .iter()
-        .map(|&n| (0..n).map(|_| None).collect())
-        .collect();
-    let mut whole: Vec<Option<ExpOutput>> = (0..n_exps).map(|_| None).collect();
-    for (idx, result) in results.into_iter().enumerate() {
-        let (exp, slot) = meta[idx];
-        let out = result
-            .into_inner()
-            .expect("result lock")
-            .expect("every scheduled unit must have completed");
-        match out {
-            UnitOut::Whole(o) => whole[exp] = Some(o),
-            UnitOut::Point(d) => point_results[exp][slot] = Some(d),
-        }
-    }
-    finishers
+    // Results are in unit order, so each experiment takes the next one
+    // (whole) or the next `n` (split, in slot order).
+    let mut done = results.into_iter();
+    merges
         .into_iter()
-        .enumerate()
-        .map(|(exp, fin)| match fin {
-            None => whole[exp].take().expect("whole experiment result"),
-            Some(f) => f(point_results[exp]
-                .iter_mut()
-                .map(|d| d.take().expect("sweep point result"))
-                .collect()),
+        .map(|merge| match merge {
+            None => match done.next() {
+                Some(UnitOut::Whole(out)) => out,
+                _ => unreachable!("a whole experiment's unit yields its output"),
+            },
+            Some((finish, n)) => finish(
+                done.by_ref()
+                    .take(n)
+                    .map(|d| match d {
+                        UnitOut::Point(data) => data,
+                        UnitOut::Whole(_) => unreachable!("a split's units yield point data"),
+                    })
+                    .collect(),
+            ),
         })
         .collect()
 }

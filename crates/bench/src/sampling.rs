@@ -14,7 +14,7 @@
 //! [`SampledRun`] first functionally warms one simulation through the
 //! whole stream, cutting a `(system, core, workload)` snapshot at each
 //! window boundary (the *chain*), and then schedules every detailed
-//! window as its own [`Point`] on the work-stealing runner. A window's
+//! window as its own [`Point`] on the parallel runner. A window's
 //! point restores its chain entry into a freshly built target and runs
 //! only `detail_warmup + detail` instructions in detailed mode. The
 //! chain is built lazily by whichever point executes first and shared

@@ -1,7 +1,7 @@
 //! R12 `lock-order`: lock/channel acquisition analysis for Driver-class
 //! files.
 //!
-//! Driver code (the bench runner's thread pool, the serve executor) is the
+//! Driver code (the worker pool in the serve executor, the transport) is the
 //! only place synchronization primitives are allowed, so it is also the
 //! only place a lock-order inversion can arise. This module recovers, per
 //! Driver function, *which* locks the body acquires and *what extent* each
@@ -30,9 +30,9 @@
 //!     of its own statement.
 //!
 //! Lock identity is the receiver chain with index expressions dropped
-//! (`deques[w].lock()` → `deques`, `self.0.lock()` → `self.N`), scoped to
-//! the file; that is exact for the field- and local-per-worker patterns
-//! the workspace actually uses and conservative for anything fancier.
+//! (`slots[i].lock()` → `slots`, `self.0.lock()` → `self.N`), scoped to
+//! the file; that is exact for the field and local locks the workspace
+//! actually uses and conservative for anything fancier.
 
 use crate::items::FnItem;
 use crate::lexer::{Tok, TokKind};

@@ -352,7 +352,7 @@ pub enum FileClass {
     /// Simulator source: all rules apply.
     Simulation,
     /// Bench/examples driver code: wall clock, panics, narrowing stat casts
-    /// and the runner's thread pool are legitimate there, but determinism
+    /// and the worker pool's threads are legitimate there, but determinism
     /// (R1), completion discipline (R4) and unsafe hygiene (R8) still apply.
     Driver,
     /// Examples: R4 only (they demonstrate the public API).
@@ -699,8 +699,8 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
             }
         }
 
-        // R10 — sync primitives (simulation only; the bench runner's thread
-        // pool is the one sanctioned parallelism site).
+        // R10 — sync primitives (simulation only; Driver-class code such as
+        // the worker pool may hold them).
         if class == FileClass::Simulation {
             if SYNC_TYPES.contains(&name) {
                 push(

@@ -625,9 +625,9 @@ fn f() -> &'static str { let thread = 1; let _ = thread; \"AtomicU64\" }
 
 #[test]
 fn serve_executor_is_driver_class() {
-    // The executor holds the service's thread pool and deques: sync
-    // primitives, wall clock and panics are legitimate there (like the
-    // bench runner), but determinism (R1) and unsafe hygiene (R8) hold.
+    // The executor holds the workspace's one worker pool: sync
+    // primitives, wall clock and panics are legitimate there, but
+    // determinism (R1) and unsafe hygiene (R8) hold.
     let exec = "crates/nvsim-serve/src/executor.rs";
     let sync_src = "
 use std::sync::Mutex;

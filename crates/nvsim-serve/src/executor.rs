@@ -1,23 +1,25 @@
-//! The scheduler shell: worker threads, work-stealing deques, and the
-//! shared trace buffer.
+//! The workspace's one worker pool, plus the serve crate's shared trace
+//! buffer.
 //!
-//! This is the **only** file in the serve crate where synchronization
-//! primitives are allowed (nvsim-lint classifies it as Driver, like the
-//! bench runner's thread pool); the session simulation paths in
-//! `session.rs` / `registry.rs` / `server.rs` stay lock-free and
-//! Simulation-class. The split keeps the determinism argument local:
-//! threads only decide *which worker* runs a [`SessionUnit`], never what
-//! the unit computes, and results are merged by input order, so the
-//! response stream is byte-identical at any worker count.
+//! [`run_indexed`] schedules both the figure runner's experiments and
+//! sweep points (`nvsim_bench::runner`) and the server's per-session
+//! units ([`crate::session::SessionUnit`]). It is Driver-class code
+//! (nvsim-lint allows threads and locks here), and it is the **only**
+//! file in the serve crate where synchronization primitives are allowed;
+//! the session simulation paths in `session.rs` / `registry.rs` /
+//! `server.rs` stay lock-free and Simulation-class. The split keeps the
+//! determinism argument local: threads only decide *which worker* runs
+//! an item, never what the item computes, and results come back in input
+//! order, so figure CSVs and response streams are byte-identical at any
+//! worker count.
 //!
-//! Scheduling mirrors the bench runner: units live in `Mutex<Option<_>>`
-//! slots, per-worker deques are seeded round-robin largest-cost-first,
-//! and an idle worker steals from the *back* of the longest sibling
-//! deque (the cheap tail a busy worker would reach last).
+//! Scheduling: items are sorted by descending cost (stable, so equal-cost
+//! items keep input order) behind one shared cursor, and every worker
+//! claims the next item from it. An idle worker therefore always takes
+//! the largest item nobody has started.
 
-use crate::session::{BackendFactory, SessionUnit};
-use std::collections::VecDeque;
 use std::io;
+use std::panic;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -67,90 +69,143 @@ impl io::Write for TraceWriter {
     }
 }
 
-/// Runs every unit to completion across `workers` threads and returns
-/// them in their original order. With one worker (or one unit) no
-/// threads are spawned at all.
+/// Runs `f` on every item across `workers` threads and returns the
+/// results in input order.
 ///
-/// The output is independent of `workers`: each unit's responses are a
-/// pure function of its own state and commands ([`SessionUnit::run`]),
-/// and the caller re-merges responses by global command index.
-pub fn run_units(
-    units: Vec<SessionUnit>,
-    factory: BackendFactory,
-    workers: usize,
-) -> Vec<SessionUnit> {
-    let workers = workers.max(1).min(units.len().max(1));
-    if workers == 1 {
-        let mut units = units;
-        for u in &mut units {
-            u.run(factory);
+/// Items are claimed in descending `cost`, ties in input order. The
+/// worker count is clamped to `1..=max(1, items.len())`; with one worker
+/// the items run inline on the calling thread, in that same order, and
+/// no thread is spawned. A panic in `f` is re-raised on the caller.
+pub fn run_indexed<T, R, C, F>(items: Vec<T>, cost: C, workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    C: Fn(&T) -> u64,
+    F: Fn(T) -> R + Sync,
+{
+    let workers = workers.clamp(1, items.len().max(1));
+    let mut order: Vec<(usize, T)> = items.into_iter().enumerate().collect();
+    order.sort_by_key(|(_, item)| std::cmp::Reverse(cost(item)));
+    let cursor = Mutex::new(order.into_iter());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            // Its own statement, so the guard drops before `f` runs;
+            // holding it across `f` would serialise the pool.
+            let next = cursor.lock().expect("cursor lock").next();
+            let Some((i, item)) = next else {
+                return done;
+            };
+            done.push((i, f(item)));
         }
-        return units;
-    }
-
-    let costs: Vec<usize> = units.iter().map(SessionUnit::cost).collect();
-    let slots: Vec<Mutex<Option<SessionUnit>>> =
-        units.into_iter().map(|u| Mutex::new(Some(u))).collect();
-
-    // Seed deques round-robin, largest cost first, index as tie-break
-    // (deterministic seeding; the stealing order is not, and need not
-    // be, deterministic).
-    let mut order: Vec<usize> = (0..slots.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (k, &i) in order.iter().enumerate() {
-        deques[k % workers]
-            .lock()
-            .expect("fresh deque")
-            .push_back(i);
-    }
-
-    thread::scope(|s| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            s.spawn(move || loop {
-                let own = deques[w].lock().expect("deque lock").pop_front();
-                let idx = match own {
-                    Some(i) => i,
-                    None => {
-                        // Steal from the back of the longest sibling.
-                        let mut best: Option<(usize, usize)> = None;
-                        for (d, dq) in deques.iter().enumerate() {
-                            if d == w {
-                                continue;
-                            }
-                            let len = dq.lock().expect("deque lock").len();
-                            if len > 0 && best.is_none_or(|(bl, _)| len > bl) {
-                                best = Some((len, d));
-                            }
-                        }
-                        let stolen = best
-                            .and_then(|(_, d)| deques[d].lock().expect("deque lock").pop_back());
-                        match stolen {
-                            Some(i) => i,
-                            None => break,
-                        }
-                    }
-                };
-                // A slot is taken at most once (its index lives in
-                // exactly one deque), run off-lock, and put back.
-                let taken = slots[idx].lock().expect("slot lock").take();
-                if let Some(mut unit) = taken {
-                    unit.run(factory);
-                    *slots[idx].lock().expect("slot lock") = Some(unit);
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("no worker panicked holding a slot")
-                .expect("every seeded unit ran exactly once")
+    };
+    let mut done: Vec<(usize, R)> = if workers == 1 {
+        drain()
+    } else {
+        thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(drain)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+                .collect()
         })
-        .collect()
+    };
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Every item runs exactly once and results keep input order, for
+    /// empty, tiny and uneven inputs at, below and above the item count.
+    #[test]
+    fn every_item_runs_once_and_results_keep_input_order() {
+        for n in [0usize, 1, 2, 7, 33] {
+            for workers in [0usize, 1, 2, 3, 8, 64] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let items: Vec<usize> = (0..n).collect();
+                let out = run_indexed(
+                    items,
+                    |&i| ((i * 37) % 11) as u64,
+                    workers,
+                    |i| {
+                        runs[i].fetch_add(1, Ordering::SeqCst);
+                        i * 10
+                    },
+                );
+                assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
+                for (i, r) in runs.iter().enumerate() {
+                    assert_eq!(
+                        r.load(Ordering::SeqCst),
+                        1,
+                        "item {i}, n {n}, workers {workers}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Two items that each wait for the other's token can only both
+    /// finish if two workers run `f` at the same time.
+    #[test]
+    fn two_workers_run_items_concurrently() {
+        let (to_second, from_first) = mpsc::channel();
+        let (to_first, from_second) = mpsc::channel();
+        let items = vec![(to_second, from_second), (to_first, from_first)];
+        let met = run_indexed(
+            items,
+            |_| 0,
+            2,
+            |(tx, rx)| tx.send(()).is_ok() && rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+        );
+        assert_eq!(met, vec![true, true]);
+    }
+
+    /// One worker runs inline on the caller, largest cost first, ties in
+    /// input order.
+    #[test]
+    fn one_worker_runs_inline_largest_first() {
+        let caller = thread::current().id();
+        let claimed = Mutex::new(Vec::new());
+        let costs = [1u64, 5, 3, 5, 0];
+        run_indexed(
+            (0..costs.len()).collect(),
+            |&i| costs[i],
+            1,
+            |i| {
+                assert_eq!(thread::current().id(), caller);
+                claimed.lock().expect("test lock").push(i);
+            },
+        );
+        assert_eq!(
+            claimed.into_inner().expect("test lock"),
+            vec![1, 3, 2, 0, 4]
+        );
+    }
+
+    /// A worker's panic reaches the caller with its own payload.
+    #[test]
+    fn worker_panic_is_reraised_on_the_caller() {
+        let caught = panic::catch_unwind(|| {
+            run_indexed(
+                vec![0, 1, 2],
+                |_| 0,
+                2,
+                |i| {
+                    assert_ne!(i, 1, "item one fails");
+                },
+            )
+        });
+        let payload = caught.expect_err("the panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains("item one fails"), "{msg}");
+    }
 }

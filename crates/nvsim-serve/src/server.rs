@@ -215,7 +215,15 @@ impl Server {
             units[ui].commands.push((i, cmd));
         }
 
-        let units = executor::run_units(units, self.factory, self.cfg.workers);
+        let units = executor::run_indexed(
+            units,
+            |u| u.cost() as u64,
+            self.cfg.workers,
+            |mut u| {
+                u.run(self.factory);
+                u
+            },
+        );
 
         // Re-merge responses in global command order and return the
         // sessions to the registry (registering recency for the LRU).

@@ -186,7 +186,7 @@ impl SessionUnit {
     }
 
     /// Scheduling cost estimate: total requests plus one per command.
-    /// Used to seed worker deques largest-first.
+    /// The executor claims larger units first.
     pub fn cost(&self) -> usize {
         self.commands
             .iter()
