@@ -1,53 +1,32 @@
-//! Self-benchmark for `nvsim-lint`: cold vs. warm analysis throughput,
-//! recorded into `BENCH_lint.json` via the same perf recorder as the
-//! engine and serve benchmarks, so the analyzer's cost is tracked
+//! Self-benchmark for `nvsim-lint`: full-workspace analysis throughput
+//! (every file lexed, parsed and analyzed, then the workspace-level
+//! passes), recorded into `BENCH_lint.json` via the same perf recorder as
+//! the engine and serve benchmarks, so the analyzer's cost is tracked
 //! across PRs like any other hot path.
-//!
-//! Cold = empty incremental cache (every file lexed, parsed, and
-//! analyzed); warm = every file replayed from cached facts (only the
-//! workspace-level aggregation passes re-run). The benchmark uses a
-//! private cache directory so it never perturbs the real
-//! `target/nvsim-lint-cache/`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
-/// Number of timed repetitions per variant; the minimum is recorded
-/// (standard practice for throughput: noise only ever adds time).
+/// Number of timed repetitions; the minimum is recorded (standard
+/// practice for throughput: noise only ever adds time).
 const REPS: usize = 3;
 
-fn timed_run(root: &Path, baseline: &Path, cache: &Path) -> (f64, u64) {
-    let start = Instant::now();
-    let (report, _) = nvsim_lint::lint_workspace_with(root, baseline, Some(cache))
-        .expect("lint run on the live workspace");
-    (start.elapsed().as_secs_f64(), report.files_scanned as u64)
-}
-
-/// Runs the benchmark and returns the `BENCH_lint.json` entries.
+/// Runs the benchmark and returns the `BENCH_lint.json` entries. Every
+/// run analyzes every file, so the keys keep their `cold_` names.
 pub fn lint_micro(root: &Path) -> BTreeMap<String, f64> {
-    let baseline = root.join("lint-baseline.txt");
-    let cache = root.join("target").join("nvsim-lint-bench-cache");
-
-    let mut cold_best = f64::INFINITY;
-    let mut warm_best = f64::INFINITY;
+    let mut best = f64::INFINITY;
     let mut files = 0u64;
     for _ in 0..REPS {
-        let _ = std::fs::remove_dir_all(&cache);
-        let (cold, n) = timed_run(root, &baseline, &cache);
-        let (warm, _) = timed_run(root, &baseline, &cache);
-        cold_best = cold_best.min(cold);
-        warm_best = warm_best.min(warm);
-        files = n;
+        let start = Instant::now();
+        let report = nvsim_lint::lint_workspace(root).expect("lint run on the live workspace");
+        best = best.min(start.elapsed().as_secs_f64());
+        files = report.files_scanned as u64;
     }
-    let _ = std::fs::remove_dir_all(&cache);
 
     let mut out = BTreeMap::new();
     out.insert("files_scanned".to_owned(), files as f64);
-    out.insert("cold_ms".to_owned(), cold_best * 1e3);
-    out.insert("warm_ms".to_owned(), warm_best * 1e3);
-    out.insert("cold_files_per_s".to_owned(), files as f64 / cold_best);
-    out.insert("warm_files_per_s".to_owned(), files as f64 / warm_best);
-    out.insert("warm_speedup_x".to_owned(), cold_best / warm_best);
+    out.insert("cold_ms".to_owned(), best * 1e3);
+    out.insert("cold_files_per_s".to_owned(), files as f64 / best);
     out
 }

@@ -7,7 +7,7 @@
 //! nvsim-bench fig5a fig7b        # run specific experiments
 //! nvsim-bench trace fig9a        # per-stage latency attribution -> results/trace/
 //! nvsim-bench perf               # engine req/s + figure points -> BENCH_engine.json
-//! nvsim-bench lint-bench         # analyzer cold/warm files/s -> BENCH_lint.json
+//! nvsim-bench lint-bench         # analyzer files/s -> BENCH_lint.json
 //! nvsim-bench crashsweep         # power-fail injection sweep -> results/crash.csv
 //! nvsim-bench crashsweep --smoke # reduced sweep for CI
 //! nvsim-bench snapsmoke          # checkpoint determinism smoke -> results/snapsmoke.csv
@@ -214,7 +214,7 @@ fn main() {
             std::process::exit(2);
         };
         let path = PathBuf::from("BENCH_lint.json");
-        eprintln!(">> measuring nvsim-lint cold/warm throughput ...");
+        eprintln!(">> measuring nvsim-lint throughput ...");
         let entries = nvsim_bench::lintbench::lint_micro(&root);
         for (k, v) in &entries {
             println!("{k:<32} {v:>14.1}");
@@ -272,12 +272,16 @@ fn main() {
     let outputs = runner::run(exps, jobs, Some(&progress));
     let wall = start.elapsed().as_secs_f64();
 
+    // A failed write must fail the run: CI compares the files written
+    // here, and a stale committed copy would otherwise compare equal.
     let results_dir = PathBuf::from("results");
+    let mut write_failed = false;
     let mut summary = String::from("# nvsim-bench results\n\n");
     for out in &outputs {
         println!("{out}");
         if let Err(e) = out.write_csv(&results_dir) {
-            eprintln!("warning: could not write CSV for {}: {e}", out.id);
+            eprintln!("could not write CSV for {}: {e}", out.id);
+            write_failed = true;
         }
         summary.push_str(&format!(
             "## {} — {}\n\n```\n{}\n```\n\n",
@@ -287,7 +291,8 @@ fn main() {
     if let Err(e) = std::fs::create_dir_all(&results_dir)
         .and_then(|_| std::fs::write(results_dir.join("summary.md"), &summary))
     {
-        eprintln!("warning: could not write summary: {e}");
+        eprintln!("could not write results/summary.md: {e}");
+        write_failed = true;
     } else {
         eprintln!("wrote results/summary.md");
     }
@@ -303,5 +308,8 @@ fn main() {
         {
             eprintln!("warning: could not record wall clock: {e}");
         }
+    }
+    if write_failed {
+        std::process::exit(1);
     }
 }

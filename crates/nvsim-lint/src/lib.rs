@@ -12,8 +12,6 @@
 //! reachability). See DESIGN.md "Static analysis & determinism invariants"
 //! for the rule catalog.
 
-pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod items;
 pub mod lexer;
@@ -64,78 +62,22 @@ pub fn collect_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
 
 fn rel_path(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
-    // Normalise separators so rules and baselines are platform-stable.
+    // Normalise separators so rules and reports are platform-stable.
     rel.components()
         .map(|c| c.as_os_str().to_string_lossy().into_owned())
         .collect::<Vec<_>>()
         .join("/")
 }
 
-/// Hit/miss counters for one run against the incremental cache.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CacheStats {
-    pub hits: usize,
-    pub misses: usize,
-}
-
-/// Lint the workspace rooted at `root` against the baseline file (if any).
-/// Returns the rendered report.
-pub fn lint_workspace(root: &Path, baseline_path: &Path) -> io::Result<report::Report> {
-    lint_workspace_with(root, baseline_path, None).map(|(r, _)| r)
-}
-
-/// [`lint_workspace`], optionally replaying unchanged files from the
-/// incremental cache in `cache_dir`. Per-site findings and workspace facts
-/// are cached per file keyed by content hash; the workspace-level passes
-/// (stage coverage, call graph, lock order, protocol coverage) are rebuilt
-/// from the full fact set every run, so cross-file rules stay correct when
-/// any file — e.g. a callee's signature — changes. Cold and warm runs
-/// produce identical reports by construction.
-pub fn lint_workspace_with(
-    root: &Path,
-    baseline_path: &Path,
-    cache_dir: Option<&Path>,
-) -> io::Result<(report::Report, CacheStats)> {
+/// Lint the workspace rooted at `root`: every eligible source file goes
+/// through [`lint_sources`], the same pipeline the fixture tests drive.
+pub fn lint_workspace(root: &Path) -> io::Result<report::Report> {
     let files = collect_sources(root)?;
-    let mut stats = CacheStats::default();
-    let mut per_file = Vec::with_capacity(files.len());
-    for (rel, src) in &files {
-        let key = cache::key_for(rel, src);
-        let (findings, facts) = match cache_dir.and_then(|d| cache::load(d, rel, key)) {
-            Some(hit) => {
-                stats.hits += 1;
-                hit
-            }
-            None => {
-                stats.misses += 1;
-                let out = lint_file(rel, src, classify(rel));
-                if let Some(d) = cache_dir {
-                    // Best-effort: a read-only disk degrades to a cold run.
-                    let _ = cache::store(d, rel, key, &out.0, &out.1);
-                }
-                out
-            }
-        };
-        per_file.push((rel.clone(), findings, facts));
-    }
-    let findings = rules::aggregate(per_file);
-    let baseline_text = match fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let b = baseline::parse(&baseline_text);
-    let (new, grandfathered, stale) = baseline::apply(&b, findings);
-    let file_exists = |p: &str| root.join(p).is_file();
-    let report = report::Report::from_parts(
-        new,
-        grandfathered,
-        &stale,
-        &b.malformed,
-        files.len(),
-        &file_exists,
-    );
-    Ok((report, stats))
+    let findings = lint_sources(files.iter().map(|(rel, src)| (rel.as_str(), src.as_str())));
+    Ok(report::Report {
+        findings,
+        files_scanned: files.len(),
+    })
 }
 
 /// Locate the workspace root: walk up from `start` until a directory holding

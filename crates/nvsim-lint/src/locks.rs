@@ -82,7 +82,7 @@ pub struct LockFn {
     pub held_calls: Vec<HeldCall>,
 }
 
-/// A lock-order cycle (pre-allow/baseline filtering).
+/// A lock-order cycle, before inline-allow filtering.
 #[derive(Debug, Clone)]
 pub struct Cycle {
     /// File of the edge site that closes the cycle.

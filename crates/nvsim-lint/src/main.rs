@@ -1,16 +1,14 @@
 //! CLI driver:
-//! `cargo run -p nvsim-lint [-- --root DIR --baseline FILE --format text|json|github --no-cache]`
+//! `cargo run -p nvsim-lint [-- --root DIR --format text|json|github]`
 //! or `cargo run -p nvsim-lint -- --explain <rule>`.
 //!
-//! Exit status: 0 when clean (no new findings, no stale/malformed baseline
-//! entries), 1 on findings, 2 on usage or I/O errors. `--format json` also
-//! writes the report to `results/lint.json` under the workspace root so CI
-//! can diff it against the checked-in copy. `--format github` emits GitHub
-//! Actions `::error` annotations so findings surface inline on PR diffs.
-//!
-//! Unchanged files replay from the incremental cache under
-//! `target/nvsim-lint-cache/` (disable with `--no-cache`). Cache hit/miss
-//! counts go to stderr only — stdout is byte-identical cold vs. warm.
+//! Exit status: 0 when clean (no findings), 1 on findings, 2 on usage or
+//! I/O errors. `--format json` also writes the report to
+//! `results/lint.json` under the workspace root so CI can diff it against
+//! the checked-in copy. `--format github` emits GitHub Actions `::error`
+//! annotations so findings surface inline on PR diffs. The only way to
+//! suppress a finding is an inline
+//! `// nvsim-lint: allow(<rule>) — <reason>` annotation.
 
 use std::env;
 use std::fs;
@@ -26,18 +24,14 @@ enum Format {
 
 struct Opts {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     format: Format,
-    no_cache: bool,
     explain: Option<String>,
 }
 
 fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         root: None,
-        baseline: None,
         format: Format::Text,
-        no_cache: false,
         explain: None,
     };
     let mut args = env::args().skip(1);
@@ -47,17 +41,12 @@ fn parse_args() -> Result<Opts, String> {
                 let v = args.next().ok_or("--root requires a path")?;
                 opts.root = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = args.next().ok_or("--baseline requires a path")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
             "--format" => match args.next().as_deref() {
                 Some("text") => opts.format = Format::Text,
                 Some("json") => opts.format = Format::Json,
                 Some("github") => opts.format = Format::Github,
                 _ => return Err("--format expects `text`, `json`, or `github`".to_string()),
             },
-            "--no-cache" => opts.no_cache = true,
             "--explain" => {
                 let v = args
                     .next()
@@ -65,9 +54,11 @@ fn parse_args() -> Result<Opts, String> {
                 opts.explain = Some(v);
             }
             "--help" | "-h" => {
-                return Err("usage: nvsim-lint [--root DIR] [--baseline FILE] \
-                     [--format text|json|github] [--no-cache] | --explain <rule|all>"
-                    .to_string())
+                return Err(
+                    "usage: nvsim-lint [--root DIR] [--format text|json|github] \
+                     | --explain <rule|all>"
+                        .to_string(),
+                )
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -141,28 +132,13 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let baseline = opts
-        .baseline
-        .unwrap_or_else(|| root.join("lint-baseline.txt"));
-    let cache_dir = root.join("target").join("nvsim-lint-cache");
-    let cache = if opts.no_cache {
-        None
-    } else {
-        Some(cache_dir.as_path())
-    };
-    let (report, stats) = match nvsim_lint::lint_workspace_with(&root, &baseline, cache) {
+    let report = match nvsim_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("nvsim-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    if !opts.no_cache {
-        eprintln!(
-            "nvsim-lint: cache {} hit(s), {} miss(es)",
-            stats.hits, stats.misses
-        );
-    }
     match opts.format {
         Format::Json => {
             let json = report.render_json();

@@ -1,57 +1,25 @@
 //! Deterministic text and JSON rendering of a lint run.
 
-use crate::baseline::BaselineEntry;
 use crate::rules::Finding;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Report {
-    /// Findings not covered by the baseline — these fail the run.
-    pub new: Vec<Finding>,
-    /// Findings suppressed by justified baseline entries.
-    pub grandfathered: Vec<Finding>,
-    /// Baseline entries that matched nothing (drift: the file should
-    /// shrink), as `(rule, path, line, file_exists)` — `file_exists` is
-    /// false when the entry points at a file no longer in the workspace.
-    pub stale: Vec<(String, String, u32, bool)>,
-    /// Unparsable baseline lines.
-    pub malformed_baseline: Vec<(u32, String)>,
+    /// Every finding not suppressed by an inline allow; any one fails
+    /// the run.
+    pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// `file_exists` answers "is this workspace-relative path still a file
-    /// on disk" — stale entries pointing into deleted files are kept and
-    /// flagged, never silently dropped.
-    pub fn from_parts(
-        new: Vec<Finding>,
-        grandfathered: Vec<Finding>,
-        stale: &[&BaselineEntry],
-        malformed: &[(u32, String)],
-        files_scanned: usize,
-        file_exists: &dyn Fn(&str) -> bool,
-    ) -> Report {
-        Report {
-            new,
-            grandfathered,
-            stale: stale
-                .iter()
-                .map(|e| (e.rule.clone(), e.path.clone(), e.line, file_exists(&e.path)))
-                .collect(),
-            malformed_baseline: malformed.to_vec(),
-            files_scanned,
-        }
-    }
-
-    /// Exit-status-relevant failure: any new finding, stale baseline entry,
-    /// or malformed baseline line.
+    /// True when the run found nothing; the CLI exits 1 otherwise.
     pub fn is_clean(&self) -> bool {
-        self.new.is_empty() && self.stale.is_empty() && self.malformed_baseline.is_empty()
+        self.findings.is_empty()
     }
 
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        for f in &self.new {
+        for f in &self.findings {
             out.push_str(&format!(
                 "{}:{}:{}: [{}] {}\n",
                 f.file,
@@ -64,47 +32,29 @@ impl Report {
                 out.push_str(&format!("    via {link}\n"));
             }
         }
-        for (rule, path, line, exists) in &self.stale {
-            let why = if *exists {
-                "matches no finding"
-            } else {
-                "points at a file that no longer exists"
-            };
-            out.push_str(&format!(
-                "lint-baseline.txt: stale entry `{rule} {path}:{line}` {why} — remove it\n"
-            ));
-        }
-        for (line, text) in &self.malformed_baseline {
-            out.push_str(&format!(
-                "lint-baseline.txt:{line}: malformed baseline entry: {text}\n"
-            ));
-        }
         out.push_str(&format!(
-            "nvsim-lint: {} file(s) scanned, {} new finding(s), {} grandfathered, {} stale baseline entr(ies)\n",
+            "nvsim-lint: {} file(s) scanned, {} finding(s)\n",
             self.files_scanned,
-            self.new.len(),
-            self.grandfathered.len(),
-            self.stale.len()
+            self.findings.len()
         ));
         out
     }
 
     /// Stable JSON (keys in fixed order, findings pre-sorted by the caller).
     ///
-    /// `"schema": 4` — v4 grows the `rules` inventory to the R15–R18
-    /// unit-domain rules, whose findings reuse the per-finding `"chain"`
-    /// field for operand-provenance evidence. v3 added R11–R14 and
-    /// `"file_exists"` on stale-baseline rows; v2 added the schema marker
-    /// itself; consumers must treat an absent `schema` key as v1.
+    /// `"schema": 5` — v5 drops the baseline file, and with it the
+    /// baselined-finding count, the `stale_baseline` rows and the
+    /// per-finding `"status"`; `new_count` is renamed `finding_count`.
+    /// v4 grew the `rules` inventory to the R15–R18 unit-domain rules,
+    /// whose findings reuse the per-finding `"chain"` field for
+    /// operand-provenance evidence. v3 added R11–R14 and `"file_exists"`
+    /// on stale-baseline rows; v2 added the schema marker itself;
+    /// consumers must treat an absent `schema` key as v1.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": 4,\n");
+        out.push_str("  \"schema\": 5,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"new_count\": {},\n", self.new.len()));
-        out.push_str(&format!(
-            "  \"grandfathered_count\": {},\n",
-            self.grandfathered.len()
-        ));
+        out.push_str(&format!("  \"finding_count\": {},\n", self.findings.len()));
         out.push_str("  \"rules\": [");
         let ids: Vec<String> = crate::rules::ALL_RULES
             .iter()
@@ -113,51 +63,29 @@ impl Report {
         out.push_str(&ids.join(", "));
         out.push_str("],\n");
         out.push_str("  \"findings\": [\n");
-        let render = |f: &Finding, status: &str| {
-            let chain = if f.chain.is_empty() {
-                String::new()
-            } else {
-                let links: Vec<String> = f.chain.iter().map(|c| json_str(c)).collect();
-                format!(", \"chain\": [{}]", links.join(", "))
-            };
-            format!(
-                "    {{\"file\": {}, \"line\": {}, \"col\": {}, \"rule\": {}, \"status\": {}, \"message\": {}{}}}",
-                json_str(&f.file),
-                f.line,
-                f.col,
-                json_str(f.rule.id()),
-                json_str(status),
-                json_str(&f.message),
-                chain
-            )
-        };
         let rows: Vec<String> = self
-            .new
+            .findings
             .iter()
-            .map(|f| render(f, "new"))
-            .chain(self.grandfathered.iter().map(|f| render(f, "baselined")))
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        if !rows.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"stale_baseline\": [\n");
-        let stale_rows: Vec<String> = self
-            .stale
-            .iter()
-            .map(|(rule, path, line, exists)| {
+            .map(|f| {
+                let chain = if f.chain.is_empty() {
+                    String::new()
+                } else {
+                    let links: Vec<String> = f.chain.iter().map(|c| json_str(c)).collect();
+                    format!(", \"chain\": [{}]", links.join(", "))
+                };
                 format!(
-                    "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"file_exists\": {}}}",
-                    json_str(rule),
-                    json_str(path),
-                    line,
-                    exists
+                    "    {{\"file\": {}, \"line\": {}, \"col\": {}, \"rule\": {}, \"message\": {}{}}}",
+                    json_str(&f.file),
+                    f.line,
+                    f.col,
+                    json_str(f.rule.id()),
+                    json_str(&f.message),
+                    chain
                 )
             })
             .collect();
-        out.push_str(&stale_rows.join(",\n"));
-        if !stale_rows.is_empty() {
+        out.push_str(&rows.join(",\n"));
+        if !rows.is_empty() {
             out.push('\n');
         }
         out.push_str("  ]\n}\n");
@@ -165,13 +93,11 @@ impl Report {
     }
 
     /// GitHub Actions workflow-command annotations: one
-    /// `::error file=…,line=…,col=…,title=…::message` line per failure, so
-    /// findings surface inline on the PR diff. Grandfathered findings are
-    /// omitted (they do not fail the run); stale/malformed baseline lines
-    /// annotate the baseline file itself.
+    /// `::error file=…,line=…,col=…,title=…::message` line per finding, so
+    /// findings surface inline on the PR diff.
     pub fn render_github(&self) -> String {
         let mut out = String::new();
-        for f in &self.new {
+        for f in &self.findings {
             let mut message = f.message.clone();
             for link in &f.chain {
                 message.push_str(&format!("\nvia {link}"));
@@ -183,28 +109,6 @@ impl Report {
                 f.col,
                 gh_prop(&format!("nvsim-lint {}", f.rule.id())),
                 gh_data(&message)
-            ));
-        }
-        for (rule, path, line, exists) in &self.stale {
-            let why = if *exists {
-                "matches no finding"
-            } else {
-                "points at a file that no longer exists"
-            };
-            out.push_str(&format!(
-                "::error file=lint-baseline.txt,title={}::{}\n",
-                gh_prop("nvsim-lint stale-baseline"),
-                gh_data(&format!(
-                    "stale entry `{rule} {path}:{line}` {why} — remove it"
-                ))
-            ));
-        }
-        for (line, text) in &self.malformed_baseline {
-            out.push_str(&format!(
-                "::error file=lint-baseline.txt,line={},title={}::{}\n",
-                line,
-                gh_prop("nvsim-lint malformed-baseline"),
-                gh_data(&format!("malformed baseline entry: {text}"))
             ));
         }
         out
@@ -265,15 +169,12 @@ mod tests {
     #[test]
     fn github_annotation_escapes_properties_and_data() {
         let report = Report {
-            new: vec![finding()],
-            stale: vec![("lock-order".to_string(), "gone.rs".to_string(), 2, false)],
-            malformed_baseline: vec![(9, "junk line".to_string())],
+            findings: vec![finding()],
             files_scanned: 1,
-            ..Report::default()
         };
         let gh = report.render_github();
         let lines: Vec<&str> = gh.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 1);
         // Message data escapes `%` and newlines (the chain link rides along
         // as an escaped LF) but keeps `:` and `,` — only property values
         // escape those.
@@ -282,18 +183,13 @@ mod tests {
             "::error file=crates/x/src/a.rs,line=7,col=3,\
              title=nvsim-lint lock-order::cycle A, 50%25: b%0Avia a.rs:1 lock(x)"
         );
-        assert!(lines[1]
-            .starts_with("::error file=lint-baseline.txt,title=nvsim-lint stale-baseline::"));
-        assert!(lines[1].contains("no longer exists"));
-        assert!(lines[2].contains("malformed baseline entry"));
     }
 
     #[test]
     fn github_output_is_empty_when_clean() {
         let report = Report {
-            grandfathered: vec![finding()],
+            findings: Vec::new(),
             files_scanned: 1,
-            ..Report::default()
         };
         assert!(report.render_github().is_empty());
     }

@@ -149,7 +149,8 @@ impl Rule {
             Rule::SyncOnSimPath => {
                 "locks, atomics and threads have no place inside the simulator: the model \
                  is single-threaded by construction and sync primitives smuggle in \
-                 scheduling-dependent behavior; parallelism lives in the bench runner only"
+                 scheduling-dependent behavior; parallelism lives only in Driver-class code \
+                 (`nvsim-serve`'s `executor::run_indexed` pool and the daemon loops)"
             }
             Rule::SnapshotFieldCoverage => {
                 "a field of a `Snapshot` type that is not written in `save` and read back \
@@ -217,8 +218,8 @@ impl Rule {
     /// Catalog number as documented in the module header and DESIGN.md.
     /// `None` for `bad-annotation`, which polices the annotation syntax
     /// itself and has never carried a number. (There is no R6 — the slot
-    /// was retired before v1 shipped and the numbering is frozen in
-    /// baselines and allow comments.)
+    /// was retired before v1 shipped and the numbering is frozen in the
+    /// docs and the README rule table.)
     pub fn number(self) -> Option<u32> {
         match self {
             Rule::UnorderedMap => Some(1),
@@ -1300,9 +1301,10 @@ pub fn stage_coverage(
     out
 }
 
-/// Lint a set of in-memory sources (shared by the CLI workspace walk and the
-/// fixture tests). Paths are workspace-relative, `/`-separated. Findings are
-/// sorted deterministically.
+/// Lint a set of in-memory sources: the one analysis path, shared by the
+/// CLI workspace walk ([`crate::lint_workspace`]) and the fixture tests.
+/// Paths are workspace-relative, `/`-separated. Findings are sorted
+/// deterministically.
 pub fn lint_sources<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> Vec<Finding> {
     let per_file: Vec<(String, Vec<Finding>, FileFacts)> = files
         .into_iter()
@@ -1314,11 +1316,11 @@ pub fn lint_sources<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> 
     aggregate(per_file)
 }
 
-/// Combine per-file results (fresh from [`lint_file`] or replayed from the
-/// incremental cache) and run the workspace-level passes: R5 stage
-/// coverage, the R7 call graph, the R12 lock graph, and R14 protocol
-/// coverage. Findings come back deterministically sorted.
-pub fn aggregate(per_file: Vec<(String, Vec<Finding>, FileFacts)>) -> Vec<Finding> {
+/// Combine the per-file results of [`lint_file`] and run the
+/// workspace-level passes: R5 stage coverage, the R7 call graph, the R12
+/// lock graph, R14 protocol coverage, and R15/R16 call-operand resolution.
+/// Findings come back deterministically sorted.
+fn aggregate(per_file: Vec<(String, Vec<Finding>, FileFacts)>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut emitted_all: Vec<String> = Vec::new();
     let mut stage_def: Option<(String, Vec<(String, u32)>)> = None;

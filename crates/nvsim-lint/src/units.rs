@@ -24,8 +24,8 @@
 //!     could conflict as a [`UnitOp`] *fact*; sites whose operand is a
 //!     workspace function call are resolved later against the workspace
 //!     [`FnUnit`] summary map (same qualified-name narrowing as the call
-//!     graph), so the per-file pass stays cacheable and the cross-file
-//!     pass is rebuilt from facts every run, exactly like R7/R12/R14.
+//!     graph), so the per-file pass needs no other file and the cross-file
+//!     pass runs over the collected facts, exactly like R7/R12/R14.
 //!
 //! Four rules ride on the engine (firing logic in [`crate::rules`]):
 //! R15 `unit-mismatch` and R16 `addr-domain` fire at aggregation time
@@ -72,19 +72,6 @@ impl Unit {
             Unit::Addr => "addr",
             Unit::Count => "count",
         }
-    }
-
-    pub fn from_name(s: &str) -> Option<Unit> {
-        Some(match s {
-            "ns" => Unit::Ns,
-            "cycles" => Unit::Cycles,
-            "bytes" => Unit::Bytes,
-            "lines" => Unit::Lines,
-            "pages" => Unit::Pages,
-            "addr" => Unit::Addr,
-            "count" => Unit::Count,
-            _ => return None,
-        })
     }
 }
 
@@ -137,7 +124,7 @@ fn method_unit(name: &str) -> Option<Unit> {
 }
 
 /// How an operand's unit was decided — carried into finding evidence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Operand {
     /// Locally resolved; the string is the provenance
     /// (``"suffix `_ns`"``, ``"accessor `.as_ps()`"``, ...).
@@ -168,7 +155,7 @@ pub enum OpKind {
 
 /// One recorded operator site (a workspace fact; firing happens in the
 /// aggregation pass so call operands can be resolved cross-file).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct UnitOp {
     pub kind: OpKind,
     /// Operator display form (`"+"`, `"<="`, `">>"`).
@@ -184,7 +171,7 @@ pub struct UnitOp {
 
 /// Return-unit summary for one workspace function, inferred from its
 /// name; feeds cross-file call-operand resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct FnUnit {
     pub name: String,
     pub owner: Option<String>,

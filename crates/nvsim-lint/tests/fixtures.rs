@@ -1171,44 +1171,6 @@ enum Command {
     assert_eq!(rule_count(PROTO, src, Rule::ProtocolCoverage), 0);
 }
 
-// ---------------------------------------------------------------- baseline
-
-#[test]
-fn baseline_entry_without_justification_is_malformed_not_silent() {
-    let b = nvsim_lint::baseline::parse("unordered-map crates/x.rs:3\n");
-    assert!(b.entries.is_empty());
-    assert_eq!(b.malformed.len(), 1);
-    assert_eq!(b.malformed[0].0, 1);
-}
-
-#[test]
-fn baseline_justified_entry_parses() {
-    let b = nvsim_lint::baseline::parse("unordered-map crates/x.rs:3 — legacy, tracked in #12\n");
-    assert_eq!(b.entries.len(), 1);
-    assert!(b.malformed.is_empty());
-}
-
-#[test]
-fn stale_entry_for_a_deleted_file_is_reported_with_its_path() {
-    let b = nvsim_lint::baseline::parse("unordered-map crates/gone.rs:3 — file was removed\n");
-    let (new, grandfathered, stale) = nvsim_lint::baseline::apply(&b, Vec::new());
-    assert!(new.is_empty() && grandfathered.is_empty());
-    assert_eq!(stale.len(), 1);
-    let report = nvsim_lint::report::Report::from_parts(
-        Vec::new(),
-        Vec::new(),
-        &stale,
-        &b.malformed,
-        0,
-        &|_| false, // the file no longer exists
-    );
-    assert!(!report.is_clean());
-    let text = report.render_text();
-    assert!(text.contains("crates/gone.rs:3"), "path surfaces: {text}");
-    assert!(text.contains("no longer exists"), "cause surfaces: {text}");
-    assert!(report.render_json().contains("\"file_exists\": false"));
-}
-
 // ---------------------------------------------------------------- R15
 
 #[test]

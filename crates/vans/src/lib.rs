@@ -62,7 +62,6 @@ pub mod buffer;
 pub mod config;
 pub mod crashcheck;
 pub mod dimm;
-pub mod frontend;
 pub mod imc;
 pub mod lsq;
 pub mod memory_mode;

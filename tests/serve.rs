@@ -7,6 +7,7 @@
 
 use nvsim::backends::build_server;
 use nvsim::serve::protocol::{Command, OpenOptions, Response};
+use nvsim::serve::scripts::smoke_script;
 use nvsim::serve::{decode_responses, ServerConfig};
 use nvsim::types::{Addr, BackendKind, DetRng, FaultPlan, MemOp, RequestDesc};
 
@@ -265,4 +266,29 @@ fn sessions_migrate_between_servers() {
     };
     assert_eq!(completions(&reply_origin), completions(&reply_target));
     assert_eq!(counters(&reply_origin), counters(&reply_target));
+}
+
+/// FNV-1a 64 of a byte string.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Wire-format transcript: the smoke script CI's daemon smoke replays,
+/// and the in-process reply the daemon must match byte for byte, are
+/// pinned by length and FNV-1a 64. A change to the protocol encoding or
+/// to any session's response bytes fails here, so it is a deliberate
+/// regeneration.
+#[test]
+fn golden_smoke_transcript() {
+    let script = smoke_script();
+    let reply = build_server(ServerConfig::default())
+        .run_script(&script)
+        .expect("valid script");
+    assert_eq!(
+        (script.len(), fnv1a64(&script), reply.len(), fnv1a64(&reply)),
+        (1_798, 0x9ced_4c5c_9425_01f1, 2_552, 0xb75a_310c_85c5_de71),
+        "script length, script digest, reply length, reply digest"
+    );
 }

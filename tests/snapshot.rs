@@ -319,6 +319,122 @@ fn golden_bytes_six_dimms_with_case_studies() {
     );
 }
 
+/// The fixed stream behind [`golden_bytes_every_backend_kind`]: loads,
+/// nt-stores and stores over 8 MiB.
+fn golden_kind_stream(b: &mut dyn MemoryBackend) {
+    let mut rng = DetRng::seed_from(0x6b1d);
+    for i in 0..600u64 {
+        let addr = Addr::new(rng.range_u64(0, (8 << 20) / 64) * 64);
+        let desc = match i % 3 {
+            0 => RequestDesc::load(addr),
+            1 => RequestDesc::new(addr, 64, MemOp::NtStore),
+            _ => RequestDesc::new(addr, 64, MemOp::Store),
+        };
+        b.execute(desc);
+    }
+}
+
+/// Snapshot format of every backend kind: `(kind, blob length, blob
+/// FNV-1a 64, final clock in ps)` after [`golden_kind_stream`]. A field
+/// added to any kind's `Snapshot` impl fails this test, so a format
+/// change is a deliberate regeneration.
+#[test]
+fn golden_bytes_every_backend_kind() {
+    use BackendKind::*;
+    let want: [(BackendKind, usize, u64, u64); 8] = [
+        (Vans, 5_419, 0xd76f_a7ca_3563_fba2, 198_106_000),
+        (VansMemoryMode, 8_093, 0x2ed5_8ae0_a7c6_3f1f, 187_648_250),
+        (OptaneReference, 389, 0x3172_fc6e_7f47_8839, 158_178_519),
+        (DramDdr4, 1_787, 0x5448_592c_0042_6740, 36_137_250),
+        (DramDdr3, 535, 0x4677_f834_9d47_c1de, 37_914_347),
+        (RamulatorPcm, 295, 0x547e_4dd1_4abc_a6c9, 74_038_500),
+        (Pmep, 1_733, 0xf19f_3624_3940_e805, 78_946_684),
+        (FixedLatency, 32, 0xd91a_258b_b170_5e3a, 140_000_000),
+    ];
+    let got: Vec<(BackendKind, usize, u64, u64)> = BackendKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let mut b =
+                build_backend(kind, &BackendConfig::default()).expect("default config builds");
+            golden_kind_stream(b.as_mut());
+            let blob = b
+                .save_snapshot()
+                .unwrap_or_else(|| panic!("{kind}: snapshots must be supported"));
+            (kind, blob.len(), fnv1a64(&blob), b.now().as_ps())
+        })
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// The functional-warming stream behind [`golden_core_blob`]: a 256 KiB
+/// hot set, 4 GiB of cold memory and 64 MiB at the cloud heap, with every
+/// op kind `Core::warm_run` handles. Cold lines sit at multiples of
+/// 2 MiB, the LLC's set period (32 MiB over 16 ways), so they crowd 64
+/// LLC sets and evict there; the cold and heap pages far outnumber the
+/// STLB's 1536 entries.
+fn golden_core_stream(seed: u64, ops: u64) -> impl Iterator<Item = TraceOp> {
+    const COLD_BASE: u64 = 1 << 30;
+    let mut rng = DetRng::seed_from(seed);
+    (0..ops).map(move |i| {
+        let hot = VirtAddr::new(rng.range_u64(0, (256 << 10) / 64) * 64);
+        let cold = VirtAddr::new(
+            COLD_BASE
+                + rng.range_u64(0, (4 << 30) / (2 << 20)) * (2 << 20)
+                + rng.range_u64(0, 64) * 64,
+        );
+        let heap = VirtAddr::new(CLOUD_HEAP + rng.range_u64(0, (64 << 20) / 64) * 64);
+        match i % 16 {
+            0..=4 => TraceOp::load(hot),
+            5 => TraceOp::load(cold),
+            6 => TraceOp::chase_mkpt(heap),
+            7 => TraceOp::load(heap),
+            8 => TraceOp::store(hot),
+            9 => TraceOp::store(cold),
+            10 => TraceOp::nt_store(cold),
+            11 => TraceOp::nt_store(heap),
+            12 => TraceOp::Clwb { vaddr: hot },
+            13 => TraceOp::compute(8),
+            14 if i % 64 == 14 => TraceOp::Fence,
+            14 => TraceOp::load(cold),
+            _ => TraceOp::compute(3),
+        }
+    })
+}
+
+/// Core snapshot format: the caches and TLB of a Cascade-Lake-like core
+/// after [`golden_core_stream`] warms it against one DIMM with
+/// Pre-translation on. Blob length and FNV-1a 64 are pinned; the blob
+/// then restores into a fresh core that tracks the original through the
+/// same tail.
+#[test]
+fn golden_core_blob() {
+    let build = || {
+        let mut sys = MemorySystem::new(VansConfig::optane_1dimm()).expect("valid preset");
+        sys.enable_pretranslation(PreTranslationConfig::paper());
+        sys
+    };
+    let mut sys = build();
+    let mut core = Core::new(CoreConfig::cascade_lake_like());
+    let warmed = core.warm_run(golden_core_stream(0xc04e, 320_000), &mut sys);
+    let blob = save_blob(&core);
+    assert_eq!(
+        (warmed, blob.len(), fnv1a64(&blob)),
+        (500_000, 2_410_389, 0xdc4a_32ab_a09e_4cb5),
+        "instructions warmed, blob length, blob digest"
+    );
+
+    let mut sys_b = build();
+    sys_b
+        .restore_snapshot(&sys.save_snapshot().expect("vans supports snapshots"))
+        .expect("same configuration");
+    let mut core_b = Core::new(CoreConfig::cascade_lake_like());
+    restore_blob(&mut core_b, &blob).expect("same configuration");
+    assert_eq!(save_blob(&core_b), blob);
+    core.warm_run(golden_core_stream(0x7a11, 20_000), &mut sys);
+    core_b.warm_run(golden_core_stream(0x7a11, 20_000), &mut sys_b);
+    assert_eq!(save_blob(&core), save_blob(&core_b));
+}
+
 /// Old-version and corrupt blobs are rejected with a clean, typed
 /// error — state stays untouched, nothing panics.
 #[test]
