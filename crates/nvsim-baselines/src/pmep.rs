@@ -138,14 +138,10 @@ impl MemoryBackend for PmepBackend {
     }
 
     fn drain(&mut self) -> Time {
-        let last = self
-            .pending
-            .drain(..)
-            .map(|(_, t)| t)
-            .max()
-            .unwrap_or(self.inner.now());
-        self.inner.skip_to(last);
-        last
+        if let Some(last) = self.pending.drain(..).map(|(_, t)| t).max() {
+            self.inner.skip_to(last);
+        }
+        self.inner.now()
     }
 
     fn skip_to(&mut self, t: Time) {

@@ -1,9 +1,9 @@
 //! R12 `lock-order`: lock/channel acquisition analysis for Driver-class
 //! files.
 //!
-//! Driver code (the worker pool in the serve executor, the transport) is the
-//! only place synchronization primitives are allowed, so it is also the
-//! only place a lock-order inversion can arise. This module recovers, per
+//! Driver code (the worker pool in the serve executor, the daemon loops) is
+//! the only place synchronization primitives are allowed, so it is also
+//! the only place a lock-order inversion can arise. This module recovers, per
 //! Driver function, *which* locks the body acquires and *what extent* each
 //! guard lives for, then builds a workspace "acquired-while-held" graph:
 //!

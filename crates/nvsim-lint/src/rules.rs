@@ -391,16 +391,13 @@ pub fn classify(rel: &str) -> FileClass {
     if rel.starts_with("crates/bench/") {
         return FileClass::Driver;
     }
-    // The serve executor, the transport mux and the daemon loops are the
-    // places the service layer is allowed to hold threads, sleep between
-    // polls and touch sockets: they schedule and carry bytes but never
-    // model time. Everything else in nvsim-serve (protocol, session,
-    // registry, server) is simulation-class, as are the byte-relevant
-    // parts the transport depends on.
-    if rel == "crates/nvsim-serve/src/executor.rs"
-        || rel == "crates/nvsim-serve/src/transport.rs"
-        || rel == "crates/nvsim-serve/src/daemon.rs"
-    {
+    // The serve executor and the daemon loops are the places the service
+    // layer is allowed to hold threads, sleep between polls and touch
+    // sockets: they schedule and carry bytes but never model time.
+    // Everything else in nvsim-serve (protocol, session, registry,
+    // server, and the transport mux that decodes every connection's
+    // frames) is simulation-class.
+    if rel == "crates/nvsim-serve/src/executor.rs" || rel == "crates/nvsim-serve/src/daemon.rs" {
         return FileClass::Driver;
     }
     // Binary entrypoints (signal handling, CLI, process exit) are driver

@@ -457,9 +457,7 @@ pub fn serve_stream(
         if engine.mux().ingest(id, &buf[..n]).is_err() {
             break;
         }
-        while engine.step() {
-            report.cycles += 1;
-        }
+        report.cycles += engine.run_until_quiet();
         let out = engine.mux().take_output(id);
         if !out.is_empty() {
             writer.write_all(&out)?;
@@ -467,18 +465,14 @@ pub fn serve_stream(
         }
     }
     // Drain what is owed (pre-poison commands included), then park.
-    while engine.step() {
-        report.cycles += 1;
-    }
+    report.cycles += engine.run_until_quiet();
     let out = engine.mux().take_output(id);
     if !out.is_empty() {
         writer.write_all(&out)?;
         writer.flush()?;
     }
     engine.mux().disconnect(id);
-    while engine.step() {
-        report.cycles += 1;
-    }
+    report.cycles += engine.run_until_quiet();
     report.parked_sessions = engine.park_all();
     Ok(report)
 }

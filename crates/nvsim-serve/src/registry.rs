@@ -8,12 +8,11 @@
 //! round-trip, the LRU changes memory footprint and rehydrate latency —
 //! never responses.
 //!
-//! Sessions are keyed by a *scoped* id: `(scope, sid)`. Scope 0 is the
-//! in-process API ([`Server::ingest`](crate::Server::ingest) /
-//! [`run_script`](crate::Server::run_script)); the transport layer gives
-//! every connection its own scope, so two connections opening "session
-//! 1" get two independent simulations and each sees only its own sid in
-//! responses. The scope never appears on the wire.
+//! Sessions are keyed by a *scoped* id: `(scope, sid)`. Scope 0 is
+//! [`run_script`](crate::Server::run_script)'s; the transport layer
+//! gives every connection its own scope, so two connections opening
+//! "session 1" get two independent simulations and each sees only its
+//! own sid in responses. The scope never appears on the wire.
 //!
 //! [`settle`]: SessionRegistry::settle
 
@@ -98,8 +97,8 @@ impl SessionRegistry {
         self.parked_count()
     }
 
-    /// The open session ids within one scope (a connection's sessions,
-    /// for cleanup when it disconnects).
+    /// The open session ids within one scope (one connection's
+    /// sessions, or `run_script`'s in scope 0).
     pub fn sids_in_scope(&self, scope: u64) -> Vec<SessionId> {
         self.slots
             .range((scope, SessionId::MIN)..=(scope, SessionId::MAX))

@@ -146,7 +146,7 @@ impl SessionSlot {
 /// the executor may run them on any worker in any order; responses are
 /// keyed by the global command index and re-merged in input order.
 pub struct SessionUnit {
-    /// The namespace the session lives in (0 for the in-process API, the
+    /// The namespace the session lives in (0 for `run_script`, the
     /// connection scope under the transport). Never visible in
     /// responses — [`apply_command`] only ever sees the client's sid.
     pub scope: u64,

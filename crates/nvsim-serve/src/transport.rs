@@ -5,10 +5,12 @@
 //! owns every connection's decode buffer, decoded-command queue and
 //! encoded-response queue, and assembles [`FlushCycle`]s — fair
 //! round-robin slices of pending commands — for the [`Server`] to
-//! execute. It does **no I/O and spawns no threads**: the daemon feeds
-//! it bytes and carries its output back to sockets, which is what makes
-//! the whole transport layer testable as a pure state machine (the
-//! chaos suite drives it with simulated connections).
+//! execute. Its per-connection decoder is the crate's only streaming
+//! one; the server sees commands, never bytes. It does **no I/O and
+//! spawns no threads**: the daemon feeds it bytes and carries its output
+//! back to sockets, which is what makes the whole transport layer
+//! testable as a pure state machine (the chaos suite drives it with
+//! simulated connections).
 //!
 //! # Determinism contract, extended through the transport
 //!
@@ -66,7 +68,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Identifies one live connection (also its session scope; scope 0 is
-/// reserved for the in-process `ingest`/`run_script` API).
+/// reserved for [`Server::run_script`]).
 pub type ConnId = u64;
 
 /// Why a connection was torn down. Sticky: once set, every further
@@ -165,9 +167,6 @@ struct Conn {
     eof: bool,
     /// Polls since the buffered partial frame last made progress.
     idle_polls: u64,
-    /// Commands handed to cycles so far (owed responses are bounded by
-    /// this; the chaos oracle replays exactly this prefix).
-    dispatched: u64,
     /// Commands inside the currently in-flight cycle.
     in_flight: usize,
 }
@@ -182,7 +181,6 @@ impl Conn {
             fault: None,
             eof: false,
             idle_polls: 0,
-            dispatched: 0,
             in_flight: 0,
         }
     }
@@ -191,6 +189,14 @@ impl Conn {
         let had = self.decoder.buffered_len();
         self.decoder = FrameDecoder::new();
         had
+    }
+
+    /// Whether the un-taken response bytes exceed `max_bytes`: such a
+    /// connection is neither read nor dispatched until the daemon
+    /// writes them out.
+    fn over_response_budget(&self, max_bytes: usize) -> bool {
+        // nvsim-lint: allow(unit-mismatch) — `out` is a `Vec<u8>`, so its length counts bytes.
+        self.out.len() > max_bytes
     }
 }
 
@@ -221,12 +227,9 @@ impl FlushCycle {
     /// Executes every command against `server` and pairs the responses
     /// back with their connection assignments.
     pub fn execute(self, server: &mut Server) -> CompletedCycle {
-        for (scope, cmd) in self.commands {
-            server.enqueue_scoped(scope, cmd);
-        }
         CompletedCycle {
             assignments: self.assignments,
-            per_cmd: server.flush_responses(),
+            per_cmd: server.execute(self.commands),
         }
     }
 }
@@ -270,7 +273,7 @@ pub struct TransportMux {
 
 impl TransportMux {
     /// An empty mux. Connection ids (= session scopes) start at 1;
-    /// scope 0 stays reserved for the server's in-process API.
+    /// scope 0 stays reserved for [`Server::run_script`].
     pub fn new(cfg: TransportConfig) -> Self {
         TransportMux {
             cfg,
@@ -305,7 +308,7 @@ impl TransportMux {
                 c.fault.is_none()
                     && !c.eof
                     && c.queue.len() < self.cfg.max_conn_commands
-                    && c.out.len() <= self.cfg.max_conn_response_bytes
+                    && !c.over_response_budget(self.cfg.max_conn_response_bytes)
             }
             None => false,
         }
@@ -455,7 +458,7 @@ impl TransportMux {
                 if commands.len() >= self.cfg.max_cycle_commands {
                     break;
                 }
-                if conn.out.len() > self.cfg.max_conn_response_bytes {
+                if conn.over_response_budget(self.cfg.max_conn_response_bytes) {
                     continue;
                 }
                 for _ in 0..self.cfg.fair_slice {
@@ -474,7 +477,6 @@ impl TransportMux {
                         }
                         _ => {}
                     }
-                    conn.dispatched += 1;
                     conn.in_flight += 1;
                     assignments.push(Some(id));
                     commands.push((id, cmd));
@@ -541,13 +543,6 @@ impl TransportMux {
         self.conns.get(&id).and_then(|c| c.fault.as_ref())
     }
 
-    /// Commands this connection has handed to cycles so far — the exact
-    /// prefix of its stream whose responses it is owed (the chaos
-    /// oracle replays this prefix through `run_script`).
-    pub fn dispatched_commands(&self, id: ConnId) -> u64 {
-        self.conns.get(&id).map(|c| c.dispatched).unwrap_or(0)
-    }
-
     /// Whether everything owed to this connection has been computed and
     /// drained: the stream has ended (EOF or fault), no commands are
     /// queued or in flight, and no output bytes remain.
@@ -589,10 +584,9 @@ impl TransportMux {
     /// work if no cycle were in flight).
     pub fn has_work(&self) -> bool {
         !self.cleanup.is_empty()
-            || self
-                .conns
-                .values()
-                .any(|c| !c.queue.is_empty() && c.out.len() <= self.cfg.max_conn_response_bytes)
+            || self.conns.values().any(|c| {
+                !c.queue.is_empty() && !c.over_response_budget(self.cfg.max_conn_response_bytes)
+            })
     }
 
     /// Aggregate occupancy, for logs and tests.
@@ -655,9 +649,14 @@ impl TransportEngine {
     }
 
     /// Steps until no work remains (bounded: every step strictly drains
-    /// command queues, and nothing refills them between steps).
-    pub fn run_until_quiet(&mut self) {
-        while self.step() {}
+    /// command queues, and nothing refills them between steps); returns
+    /// how many cycles ran.
+    pub fn run_until_quiet(&mut self) -> u64 {
+        let mut cycles = 0;
+        while self.step() {
+            cycles += 1;
+        }
+        cycles
     }
 
     /// Parks every warm session (graceful drain before exit).

@@ -191,3 +191,25 @@ fn counters_are_consistent_after_mixed_traffic() {
     // Amplification ratios are well-formed.
     assert!(c.read_amplification().unwrap() >= 1.0);
 }
+
+/// `drain` returns the time the backend became idle, which is never
+/// before its clock: after `skip_to` past every completion it is
+/// `now()`, and a request submitted after the skip drains at its own
+/// completion, later than the skip.
+#[test]
+fn drain_returns_now_for_every_backend_kind() {
+    let skip = Time::from_ns(1_000_000);
+    for kind in BackendKind::ALL {
+        let mut b = nvsim::backends::build_backend(kind, &BackendConfig::default())
+            .expect("default config builds");
+        b.submit(RequestDesc::load(Addr::new(0x40)));
+        b.skip_to(skip);
+        let idle = b.drain();
+        assert_eq!(idle, b.now(), "{kind}: drain after skipping past the load");
+
+        b.submit(RequestDesc::load(Addr::new(0x80)));
+        let idle = b.drain();
+        assert_eq!(idle, b.now(), "{kind}: drain of a load after the skip");
+        assert!(idle > skip, "{kind}: {idle:?} is not past the skip");
+    }
+}

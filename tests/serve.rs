@@ -8,6 +8,7 @@
 use nvsim::backends::build_server;
 use nvsim::serve::protocol::{Command, OpenOptions, Response};
 use nvsim::serve::scripts::smoke_script;
+use nvsim::serve::transport::{TransportConfig, TransportEngine};
 use nvsim::serve::{decode_responses, ServerConfig};
 use nvsim::types::{Addr, BackendKind, DetRng, FaultPlan, MemOp, RequestDesc};
 
@@ -120,28 +121,32 @@ fn worker_count_and_lru_never_change_bytes() {
         assert_eq!(got, reference, "workers={workers} changed response bytes");
     }
 
+    // The squeeze runs through one transport connection, the path the
+    // daemon serves: the script arrives in two halves (an arbitrary byte
+    // split; the connection's decoder reassembles) with cycles run after
+    // each, so the LRU parks sessions between them and the second half
+    // rehydrates them.
     let squeezed = build_server(ServerConfig {
         workers: 8,
         warm_capacity: 1,
     });
-    // Feed the script in two flushes so the LRU actually parks between
-    // them, then compare against the one-shot reference semantically
-    // per frame (the split point itself is on a frame boundary, so the
-    // bytes still concatenate identically).
-    let mut squeezed = squeezed;
-    let frames = workload();
-    let mid = frames.len() / 2;
-    // Split on a safe boundary: ingest returns only complete frames,
-    // so an arbitrary byte split is fine — the decoder reassembles.
-    let mut streamed = Vec::new();
-    squeezed.ingest(&frames[..mid]).expect("first half");
-    streamed.extend(squeezed.flush().expect("first flush"));
-    squeezed.ingest(&frames[mid..]).expect("second half");
-    streamed.extend(squeezed.flush().expect("second flush"));
-    squeezed.end_of_stream().expect("clean end");
+    let mut eng = TransportEngine::new(squeezed, TransportConfig::default());
+    let id = eng.mux().accept();
+    let mid = script.len() / 2;
+    eng.mux().ingest(id, &script[..mid]).expect("first half");
+    eng.run_until_quiet();
+    let mut streamed = eng.mux().take_output(id);
+    let registry = eng.server().registry();
+    assert!(registry.warm_count() <= 1, "the squeeze must hold");
+    assert!(registry.parked_count() > 0, "the squeeze must park");
+    eng.mux().ingest(id, &script[mid..]).expect("second half");
+    eng.run_until_quiet();
+    streamed.extend(eng.mux().take_output(id));
+    eng.mux().end_of_stream(id).expect("clean end");
+    assert!(eng.mux_ref().conn_done(id));
     assert_eq!(
         streamed, reference,
-        "LRU parking between flushes changed response bytes"
+        "LRU parking between cycles changed response bytes"
     );
 }
 

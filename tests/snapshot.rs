@@ -11,6 +11,8 @@ use nvsim::types::snapshot::{restore_blob, save_blob, SnapshotErrorKind, MAGIC, 
 use nvsim::types::trace::JsonlSink;
 use nvsim::types::DetRng;
 use nvsim::vans::{LazyCacheConfig, MemorySystem, PreTranslationConfig, VansConfig};
+use nvsim::workloads::cloud::fig13_workloads;
+use nvsim::workloads::SpecWorkloadGen;
 use proptest::prelude::*;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -433,6 +435,51 @@ fn golden_core_blob() {
     core.warm_run(golden_core_stream(0x7a11, 20_000), &mut sys);
     core_b.warm_run(golden_core_stream(0x7a11, 20_000), &mut sys_b);
     assert_eq!(save_blob(&core), save_blob(&core_b));
+}
+
+/// The workloads [`golden_workload_blobs`] pins: the six Fig 13
+/// generators in paper order, then one Table IV SPEC generator.
+fn golden_workloads() -> Vec<Box<dyn Workload + Send>> {
+    let mut all = fig13_workloads(0x3a1d);
+    all.push(Box::new(SpecWorkloadGen::from_table_iv(
+        "mcf", 27.1, 0.2, 7,
+    )));
+    all
+}
+
+/// Workload cursor format: `(name, blob length, blob FNV-1a 64)` of each
+/// generator's `save_state()` after 50 k instructions. A field added to
+/// a workload's `Snapshot` impl fails this test, so a format change is a
+/// deliberate regeneration. Each blob then restores into a fresh
+/// generator that produces the same next chunk of ops.
+#[test]
+fn golden_workload_blobs() {
+    let want: [(&str, usize, u64); 7] = [
+        ("FIO-write", 10, 0xb809_2438_fb20_bfcc),
+        ("YCSB", 46, 0x956b_9b10_3009_eb9c),
+        ("TPCC", 47, 0x5be7_98f3_21d2_db76),
+        ("HashMap", 46, 0x41bf_1154_bded_a4f8),
+        ("Redis", 45, 0x874b_90a4_97f4_56d9),
+        ("LinkedList", 43, 0xa29d_e24e_59cf_4ead),
+        ("mcf", 55, 0x5f70_e628_5de6_9035),
+    ];
+    let mut original = golden_workloads();
+    let mut restored = golden_workloads();
+    let mut got = Vec::new();
+    for (a, b) in original.iter_mut().zip(&mut restored) {
+        a.generate(50_000);
+        let blob = a
+            .save_state()
+            .unwrap_or_else(|| panic!("{}: workloads must checkpoint", a.name()));
+        got.push((a.name().to_owned(), blob.len(), fnv1a64(&blob)));
+        assert_eq!(b.restore_state(&blob), Ok(true), "{}", a.name());
+        assert_eq!(a.generate(5_000), b.generate(5_000), "{}", a.name());
+    }
+    assert_eq!(
+        got,
+        want.map(|(name, len, fnv)| (name.to_owned(), len, fnv)),
+        "name, blob length, blob digest"
+    );
 }
 
 /// Old-version and corrupt blobs are rejected with a clean, typed

@@ -99,7 +99,7 @@ proptest! {
             }
             // Every script closes its session: nothing may linger.
             for &id in &ids {
-                prop_assert_eq!(eng.server().sids_in_scope(id), vec![]);
+                prop_assert_eq!(eng.server().registry().sids_in_scope(id), vec![]);
             }
         }
     }
@@ -136,7 +136,7 @@ proptest! {
         // Teardown releases everything the prefix opened.
         eng.mux().disconnect(id);
         eng.run_until_quiet();
-        prop_assert_eq!(eng.server().sids_in_scope(id), vec![]);
+        prop_assert_eq!(eng.server().registry().sids_in_scope(id), vec![]);
     }
 
     /// A connection spraying garbage cannot disturb its neighbors, and
