@@ -196,6 +196,16 @@ pub fn engine_micro() -> BTreeMap<String, f64> {
             now = media.read(MediaAddr::new((i * 4096) % (1 << 30)), 4096, now);
         }),
     );
+    // Writes count every 256 B unit they touch, so this one also times
+    // the per-unit write-count table.
+    let mut media = XpointMedia::new(MediaConfig::optane_like()).expect("valid preset");
+    let mut now = Time::ZERO;
+    m.insert(
+        "media_xpoint_4kb_write_rps".to_owned(),
+        reqs_per_sec(1_000_000, 3, |i| {
+            now = media.write(MediaAddr::new((i * 4096) % (64 << 20)), 4096, now);
+        }),
+    );
     m
 }
 

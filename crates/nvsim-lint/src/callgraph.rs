@@ -18,7 +18,9 @@
 //! sanctioned roots: `expect_completion` (the one designed completion
 //! bookkeeping panic), `inject_power_loss` (the clock-freezing
 //! crash-injection boundary), and any function whose declaration carries
-//! a justified `allow(panic-reach)` annotation.
+//! a justified `allow(panic-reach)` annotation. Such an annotated
+//! boundary is itself reported when it reaches a panic; its allow then
+//! suppresses that finding, which is what keeps the allow live.
 //!
 //! Directly-panicking functions are *not* reported here — R3 `panic-path`
 //! already flags the site itself. R7 reports the callers R3 is blind to,
@@ -97,8 +99,12 @@ impl Graph {
 
     /// Is node `i` a sanctioned boundary (by name or annotation)?
     fn is_boundary(&self, i: usize) -> bool {
-        let it = &self.nodes[i].item;
-        it.boundary || SANCTIONED_ROOTS.contains(&it.name.as_str())
+        self.nodes[i].item.boundary || self.is_named_root(i)
+    }
+
+    /// Is node `i` a boundary by name, never reported?
+    fn is_named_root(&self, i: usize) -> bool {
+        SANCTIONED_ROOTS.contains(&self.nodes[i].item.name.as_str())
     }
 
     /// Resolve one call to candidate callee node indices.
@@ -138,7 +144,9 @@ impl Graph {
     }
 
     /// Compute every function that transitively reaches an unsanctioned
-    /// panic (excluding functions that panic directly — R3's findings).
+    /// panic (excluding functions that panic directly — R3's findings —
+    /// and the by-name roots). Annotated boundaries are included but do
+    /// not pass the reach on to their callers.
     pub fn panic_reaches(&self) -> Vec<PanicReach> {
         let n = self.nodes.len();
         // Direct panic evidence per node.
@@ -178,12 +186,14 @@ impl Graph {
             let v = queue[head];
             head += 1;
             for &u in &rev[v] {
-                if reached[u] || direct[u].is_some() || self.is_boundary(u) {
+                if reached[u] || direct[u].is_some() || self.is_named_root(u) {
                     continue;
                 }
                 reached[u] = true;
                 via[u] = Some(v);
-                queue.push(u);
+                if !self.is_boundary(u) {
+                    queue.push(u);
+                }
             }
         }
 
@@ -278,11 +288,10 @@ mod tests {
             fn c(x: Option<u32>) -> u32 { x.unwrap() }
             ",
         )]);
+        // `b` is reported for its allow to suppress; `a` is not: the
+        // boundary absorbs the reach.
         let names: Vec<String> = g.panic_reaches().into_iter().map(|r| r.name).collect();
-        assert!(
-            names.is_empty(),
-            "boundary must absorb the reach: {names:?}"
-        );
+        assert_eq!(names, ["b"], "boundary must absorb the reach: {names:?}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   R16 `addr-domain`               — no addr↔line/page crossings via bare literals
 //!   R17 `timing-literal-provenance` — Table I literals live in named consts/config
 //!   R18 `overflow-policy`           — loop-product accumulation states its policy
-//!       `bad-annotation`            — malformed/unjustified allow annotations
+//!       `bad-annotation`            — malformed, unjustified or dead allow annotations
 //!
 //! R1–R3, R8–R10 and R13 are token-level per-file checks. R4 and R11 are
 //! per-file semantic checks over the item tree ([`crate::items`]); R7, R12
@@ -205,8 +205,9 @@ impl Rule {
                  allow justifying the bound"
             }
             Rule::BadAnnotation => {
-                "nvsim-lint annotations must name a known rule and carry a written \
-                 justification; an unexplained allow is indistinguishable from a mistake"
+                "nvsim-lint annotations must name a known rule, carry a written \
+                 justification and suppress a finding; an unexplained or stale allow is \
+                 indistinguishable from a mistake"
             }
         }
     }
@@ -449,9 +450,9 @@ pub struct FileFacts {
     /// Parsed function items (simulation-class files only) for the
     /// workspace call graph.
     pub items: Vec<FnItem>,
-    /// Justified allow annotations `(rule id, applies line)` — consulted by
-    /// workspace-level passes whose findings anchor in this file.
-    pub allows: Vec<(String, u32)>,
+    /// Justified allow annotations naming a known rule: `aggregate`
+    /// suppresses this file's findings with them, from every pass.
+    pub allows: Vec<Allow>,
     /// Wire-protocol enum variants `(enum, variant, line)` defined here
     /// (populated only for the protocol definition file).
     pub proto_defined: Vec<(String, String, u32)>,
@@ -514,7 +515,8 @@ const SYNC_TYPES: [&str; 16] = [
     "mpsc",
 ];
 
-/// Lint a single file. Returns per-site findings and workspace facts.
+/// Lint a single file. Returns per-site findings, before any allow is
+/// applied, and workspace facts.
 pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileFacts) {
     let mut findings = Vec::new();
     let mut facts = FileFacts::default();
@@ -535,22 +537,17 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
     let mask = test_mask(&toks);
     let allow_list = allows(&toks);
 
-    let allowed = |rule: Rule, line: u32| -> bool {
-        allow_list
-            .iter()
-            .any(|a| a.has_reason && a.rule == rule.id() && a.applies_line == line)
-    };
+    // Findings leave this pass unsuppressed; `aggregate` applies every
+    // allow in one place and reports the ones that suppress nothing.
     let mut push = |rule: Rule, line: u32, col: u32, msg: String| {
-        if !allowed(rule, line) {
-            findings.push(Finding {
-                file: rel.to_string(),
-                line,
-                col,
-                rule,
-                message: msg,
-                chain: Vec::new(),
-            });
-        }
+        findings.push(Finding {
+            file: rel.to_string(),
+            line,
+            col,
+            rule,
+            message: msg,
+            chain: Vec::new(),
+        });
     };
 
     let next_code = |mut i: usize| -> Option<&Tok> {
@@ -835,12 +832,10 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
         annotation_finding(rel, a, &mut findings);
     }
 
-    // Export justified allows for workspace-level passes (R12/R14) whose
-    // findings anchor back into this file.
+    // Export the well-formed allows: `aggregate` suppresses with them.
     facts.allows = allow_list
-        .iter()
-        .filter(|a| a.has_reason)
-        .map(|a| (a.rule.clone(), a.applies_line))
+        .into_iter()
+        .filter(|a| a.has_reason && Rule::from_id(&a.rule).is_some())
         .collect();
 
     (findings, facts)
@@ -1071,7 +1066,6 @@ pub fn protocol_coverage(
     def_file: &str,
     defined: &[(String, String, u32)],
     refs: &[(String, String, ProtoRef)],
-    allowed: &dyn Fn(u32) -> bool,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     for (enm, variant, line) in defined {
@@ -1089,7 +1083,7 @@ pub fn protocol_coverage(
         if !has(ProtoRef::Test) {
             missing.push("a round-trip test reference");
         }
-        if missing.is_empty() || allowed(*line) {
+        if missing.is_empty() {
             continue;
         }
         out.push(Finding {
@@ -1111,11 +1105,7 @@ pub fn protocol_coverage(
 /// Workspace-level R15/R16: resolve call operands through the fn-unit
 /// summary map (qualified-name narrowing, like the call graph) and fire
 /// unit mismatches and bare-literal address-domain crossings.
-fn unit_findings(
-    unit_files: &[(String, Vec<UnitOp>)],
-    fn_units: &[FnUnit],
-    allowed_at: &dyn Fn(&str, Rule, u32) -> bool,
-) -> Vec<Finding> {
+fn unit_findings(unit_files: &[(String, Vec<UnitOp>)], fn_units: &[FnUnit]) -> Vec<Finding> {
     let mut summary: BTreeMap<&str, Vec<(&Option<String>, Unit)>> = BTreeMap::new();
     for fu in fn_units {
         summary
@@ -1162,7 +1152,7 @@ fn unit_findings(
                     else {
                         continue;
                     };
-                    if ul == ur || allowed_at(rel, Rule::UnitMismatch, op.line) {
+                    if ul == ur {
                         continue;
                     }
                     out.push(Finding {
@@ -1189,7 +1179,7 @@ fn unit_findings(
                     let Some((ul, pl)) = resolve(&op.lhs) else {
                         continue;
                     };
-                    if !units::addr_family(ul) || allowed_at(rel, Rule::AddrDomain, op.line) {
+                    if !units::addr_family(ul) {
                         continue;
                     }
                     out.push(Finding {
@@ -1316,14 +1306,16 @@ pub fn lint_sources<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> 
 /// Combine the per-file results of [`lint_file`] and run the
 /// workspace-level passes: R5 stage coverage, the R7 call graph, the R12
 /// lock graph, R14 protocol coverage, and R15/R16 call-operand resolution.
-/// Findings come back deterministically sorted.
+/// Then apply the allows, the one place any finding is suppressed: a
+/// finding goes when a justified allow of its rule applies to its line,
+/// and an allow that suppresses no finding is itself a `bad-annotation`
+/// finding. Findings come back deterministically sorted.
 fn aggregate(per_file: Vec<(String, Vec<Finding>, FileFacts)>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut emitted_all: Vec<String> = Vec::new();
     let mut stage_def: Option<(String, Vec<(String, u32)>)> = None;
     let mut graph_files: Vec<(String, Vec<FnItem>)> = Vec::new();
-    let mut allows_by_file: std::collections::BTreeMap<String, Vec<(String, u32)>> =
-        std::collections::BTreeMap::new();
+    let mut allows_by_file: BTreeMap<String, Vec<Allow>> = BTreeMap::new();
     // (definition file, [(enum, variant, line)]).
     type ProtoDef = (String, Vec<(String, String, u32)>);
     let mut proto_def: Option<ProtoDef> = None;
@@ -1375,16 +1367,8 @@ fn aggregate(per_file: Vec<(String, Vec<Finding>, FileFacts)>) -> Vec<Finding> {
             chain: r.chain,
         });
     }
-    let allowed_at = |file: &str, rule: Rule, line: u32| -> bool {
-        allows_by_file
-            .get(file)
-            .is_some_and(|v| v.iter().any(|(r, l)| r == rule.id() && *l == line))
-    };
     // R12 — lock-order cycles over the Driver lock graph.
     for c in locks::lock_order(&lock_files) {
-        if allowed_at(&c.file, Rule::LockOrder, c.line) {
-            continue;
-        }
         let message = format!(
             "lock acquisition cycle {}: {}",
             c.chain.join(" → "),
@@ -1401,16 +1385,47 @@ fn aggregate(per_file: Vec<(String, Vec<Finding>, FileFacts)>) -> Vec<Finding> {
     }
     // R14 — wire-protocol coverage.
     if let Some((def_file, defined)) = &proto_def {
-        findings.extend(protocol_coverage(
-            def_file,
-            defined,
-            &proto_refs_all,
-            &|line| allowed_at(def_file, Rule::ProtocolCoverage, line),
-        ));
+        findings.extend(protocol_coverage(def_file, defined, &proto_refs_all));
     }
     // R15/R16 — resolve pending unit-operator facts against the
     // workspace fn-unit summary map and fire mismatches/crossings.
-    findings.extend(unit_findings(&unit_files, &fn_units_all, &allowed_at));
+    findings.extend(unit_findings(&unit_files, &fn_units_all));
+
+    // Suppression. Annotation findings are never suppressible.
+    let mut live: BTreeSet<(&str, u32, &str)> = BTreeSet::new();
+    findings.retain(|f| {
+        let Some((file, list)) = allows_by_file.get_key_value(&f.file) else {
+            return true;
+        };
+        let hit = f.rule != Rule::BadAnnotation
+            && list
+                .iter()
+                .any(|a| a.rule == f.rule.id() && a.applies_line == f.line);
+        if hit {
+            live.insert((file.as_str(), f.line, f.rule.id()));
+        }
+        !hit
+    });
+    let mut dead = Vec::new();
+    for (file, list) in &allows_by_file {
+        for a in list {
+            if !live.contains(&(file.as_str(), a.applies_line, a.rule.as_str())) {
+                dead.push(Finding {
+                    file: file.clone(),
+                    line: a.comment_line,
+                    col: 1,
+                    rule: Rule::BadAnnotation,
+                    message: format!(
+                        "`allow({})` suppresses no finding: {}",
+                        a.rule,
+                        Rule::BadAnnotation.rationale()
+                    ),
+                    chain: Vec::new(),
+                });
+            }
+        }
+    }
+    findings.extend(dead);
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     findings

@@ -1413,3 +1413,168 @@ fn driver_class_transport_keeps_determinism_rules() {
     let src = "fn f() { let t = std::time::Instant::now(); }\n";
     assert!(rule_count("crates/nvsim-serve/src/server.rs", src, Rule::WallClock) > 0);
 }
+
+// ------------------------------------------------------ dead allows
+
+/// `src` with every allow comment cut off its line.
+fn without_allows(src: &str) -> String {
+    src.lines()
+        .map(|l| match l.find("// nvsim-lint: allow(") {
+            Some(at) => format!("{}\n", &l[..at]),
+            None => format!("{l}\n"),
+        })
+        .collect()
+}
+
+/// The transport's response-budget helper: with the parameter named
+/// `budget` no unit is inferred for it, so the allow suppresses nothing
+/// and is itself the finding; named `max_bytes`, the comparison mixes a
+/// `count` with `bytes` and the allow carries it.
+#[test]
+fn allow_that_suppresses_no_finding_is_a_bad_annotation() {
+    let helper = |param: &str| {
+        format!(
+            "
+struct Conn {{ out: Vec<u8> }}
+impl Conn {{
+    fn over_response_budget(&self, {param}: usize) -> bool {{
+        // nvsim-lint: allow(unit-mismatch) — `out` is a byte buffer: its length counts bytes.
+        self.out.len() > {param}
+    }}
+}}
+"
+        )
+    };
+    let transport = "crates/nvsim-serve/src/transport.rs";
+    let dead = lint_sources([(transport, helper("budget").as_str())]);
+    assert_eq!(dead.len(), 1, "{dead:?}");
+    assert_eq!((dead[0].rule, dead[0].line), (Rule::BadAnnotation, 5));
+    assert!(dead[0]
+        .message
+        .contains("`allow(unit-mismatch)` suppresses no finding"));
+    assert!(lint_sources([(transport, helper("max_bytes").as_str())]).is_empty());
+    let bare = without_allows(&helper("max_bytes"));
+    assert_eq!(rule_count(transport, &bare, Rule::UnitMismatch), 1);
+}
+
+/// One live allow per rule family — token-level (R9), item-tree (R11),
+/// call graph (R7, the annotated boundary), lock graph (R12), protocol
+/// coverage (R14), unit domains resolved at aggregation (R15) and
+/// per-file (R17): with its allow a source shows no finding of the rule
+/// and no annotation finding, and without it the rule fires. (The R7
+/// source keeps its leaf's `panic-path` finding: a sanctioned site would
+/// seed no reach, leaving the boundary nothing to absorb.)
+#[test]
+fn live_allow_of_each_rule_family_is_clean() {
+    let cases: [(&str, Rule, &str); 7] = [
+        (
+            SIM,
+            Rule::CastTruncation,
+            "fn f(n: u64) -> u32 {
+    // nvsim-lint: allow(cast-truncation) — n is a channel index < 8 by config
+    n as u32
+}
+",
+        ),
+        (
+            SIM,
+            Rule::SnapshotFieldCoverage,
+            "struct S {
+    a: u64,
+    // nvsim-lint: allow(snapshot-field-coverage) — derived from `a` on restore.
+    twice_a: u64,
+}
+impl Snapshot for S {
+    fn save(&self, w: &mut SnapshotWriter) { w.put_u64(self.a); }
+    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.a = r.get_u64()?;
+        Ok(())
+    }
+}
+",
+        ),
+        (
+            SIM,
+            Rule::PanicReach,
+            "fn entry() { middle(); }
+// nvsim-lint: allow(panic-reach) — boundary: ids validated at entry
+fn middle() { leaf(); }
+fn leaf(x: Option<u32>) -> u32 { x.unwrap() }
+",
+        ),
+        (
+            DRIVER,
+            Rule::LockOrder,
+            "fn ab(a: &Mutex<u64>, b: &Mutex<u64>) {
+    let ga = a.lock().expect(\"a\");
+    let gb = b.lock().expect(\"b\"); // nvsim-lint: allow(lock-order) — fixture exercising suppression.
+}
+fn ba(a: &Mutex<u64>, b: &Mutex<u64>) {
+    let gb = b.lock().expect(\"b\");
+    let ga = a.lock().expect(\"a\");
+}
+",
+        ),
+        (
+            PROTO,
+            Rule::ProtocolCoverage,
+            "enum Command {
+    // nvsim-lint: allow(protocol-coverage) — fixture: reserved variant, wire id parked.
+    Reserved,
+}
+",
+        ),
+        (
+            SIM,
+            Rule::UnitMismatch,
+            "fn f(read_ns: u64, bus_cycles: u64) -> u64 {
+    // nvsim-lint: allow(unit-mismatch) — fixture: the domains agree here.
+    read_ns + bus_cycles
+}
+",
+        ),
+        (
+            SIM,
+            Rule::TimingLiteralProvenance,
+            "fn f() -> u64 {
+    // nvsim-lint: allow(timing-literal-provenance) — fixture: a documented one-off.
+    let delay_ns = 25;
+    delay_ns
+}
+",
+        ),
+    ];
+    for (path, rule, src) in cases {
+        let with = lint_sources([(path, src)]);
+        assert!(
+            with.iter()
+                .all(|f| f.rule != rule && f.rule != Rule::BadAnnotation),
+            "{}: {with:?}",
+            rule.id()
+        );
+        assert!(
+            rule_count(path, &without_allows(src), rule) > 0,
+            "{}",
+            rule.id()
+        );
+    }
+}
+
+/// A boundary that reaches no panic, and an allow of `bad-annotation`
+/// itself (annotation findings are never suppressible), suppress nothing.
+#[test]
+fn boundary_without_a_reach_and_bad_annotation_allows_are_dead() {
+    let src = "
+// nvsim-lint: allow(panic-reach) — nothing below can panic
+fn calm() -> u32 { 1 }
+// nvsim-lint: allow(bad-annotation) — fixture: cannot be silenced
+fn other() {}
+";
+    assert_eq!(
+        rules_at(SIM, src),
+        [
+            ("bad-annotation".to_string(), 2),
+            ("bad-annotation".to_string(), 4)
+        ]
+    );
+}

@@ -2,7 +2,7 @@
 
 use nvsim_types::error::{require_nonzero, require_power_of_two};
 use nvsim_types::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-use nvsim_types::{ConfigError, Time};
+use nvsim_types::{ConfigError, KeyTable, Time};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -141,8 +141,9 @@ pub struct XpointMedia {
     die_free: Vec<Time>,
     bus_free: Time,
     stats: MediaStats,
-    /// Lifetime writes per access unit index, kept sparsely.
-    unit_writes: std::collections::BTreeMap<u64, u64>,
+    /// Lifetime writes per access unit index; units below the capacity
+    /// are chunk-indexed, migration targets past it kept sparsely.
+    unit_writes: KeyTable,
 }
 
 impl XpointMedia {
@@ -154,12 +155,13 @@ impl XpointMedia {
     pub fn new(cfg: MediaConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let dies = cfg.dies as usize;
+        let units = cfg.capacity_bytes / cfg.access_unit as u64;
         Ok(XpointMedia {
             cfg,
             die_free: vec![Time::ZERO; dies],
             bus_free: Time::ZERO,
             stats: MediaStats::default(),
-            unit_writes: std::collections::BTreeMap::new(),
+            unit_writes: KeyTable::new(units),
         })
     }
 
@@ -181,7 +183,7 @@ impl XpointMedia {
     /// Lifetime write count of the access unit containing `addr`.
     pub fn unit_write_count(&self, addr: MediaAddr) -> u64 {
         let unit = addr.raw() / self.cfg.access_unit as u64;
-        self.unit_writes.get(&unit).copied().unwrap_or(0)
+        self.unit_writes.get(unit)
     }
 
     fn access(&mut self, addr: MediaAddr, size: u32, earliest: Time, write: bool) -> Time {
@@ -209,7 +211,7 @@ impl XpointMedia {
             if write {
                 self.stats.units_written += 1;
                 self.stats.bytes_written += unit;
-                *self.unit_writes.entry(u).or_insert(0) += 1;
+                self.unit_writes.update(u, |count| count.saturating_add(1));
             } else {
                 self.stats.units_read += 1;
                 self.stats.bytes_read += unit;
@@ -255,7 +257,7 @@ impl Snapshot for XpointMedia {
         w.put_u64(self.stats.bytes_read);
         w.put_u64(self.stats.bytes_written);
         w.put_usize(self.unit_writes.len());
-        for (&unit, &count) in &self.unit_writes {
+        for (unit, count) in self.unit_writes.iter() {
             w.put_u64(unit);
             w.put_u64(count);
         }
@@ -282,7 +284,12 @@ impl Snapshot for XpointMedia {
         for _ in 0..n {
             let unit = r.get_u64()?;
             let count = r.get_u64()?;
-            self.unit_writes.insert(unit, count);
+            // A live run lists only written units; the table cannot hold
+            // a zero count. A repeated unit keeps its last count.
+            if count == 0 {
+                return Err(r.invalid("zero unit write count"));
+            }
+            self.unit_writes.update(unit, |_| count);
         }
         Ok(())
     }
@@ -291,6 +298,7 @@ impl Snapshot for XpointMedia {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvsim_types::snapshot::SnapshotErrorKind;
 
     fn media() -> XpointMedia {
         XpointMedia::new(MediaConfig::optane_like()).expect("valid preset")
@@ -429,6 +437,76 @@ mod tests {
             live.unit_write_count(MediaAddr::new(0)),
             restored.unit_write_count(MediaAddr::new(0))
         );
+    }
+
+    #[test]
+    fn writing_the_last_unit_allocates_one_chunk() {
+        let mut m = media();
+        let top = MediaAddr::new(MediaConfig::optane_like().capacity_bytes - 256);
+        m.write(top, 256, Time::ZERO);
+        assert_eq!(m.unit_write_count(top), 1);
+        assert_eq!(m.unit_writes.allocated_chunks(), 1);
+        // A whole page written back at the top of the media stays in it.
+        let page = MediaAddr::new(MediaConfig::optane_like().capacity_bytes - 4096);
+        m.write(page, 4096, Time::ZERO);
+        assert_eq!(m.unit_write_count(top), 2);
+        assert_eq!(m.unit_writes.allocated_chunks(), 1);
+    }
+
+    /// A blob of a fresh media array whose unit-write table lists
+    /// `entries`; every other byte comes from `save`.
+    fn blob_with_unit_writes(entries: &[(u64, u64)]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        media().save(&mut w);
+        let mut blob = w.into_bytes();
+        assert_eq!(
+            blob.pop(),
+            Some(0),
+            "an empty table saves a zero count last"
+        );
+        let mut table = SnapshotWriter::new();
+        table.put_usize(entries.len());
+        for &(unit, count) in entries {
+            table.put_u64(unit);
+            table.put_u64(count);
+        }
+        blob.extend(table.into_bytes());
+        blob
+    }
+
+    #[test]
+    fn zero_unit_write_count_is_rejected() {
+        let blob = blob_with_unit_writes(&[(3, 2), (5, 0)]);
+        let err = media()
+            .restore(&mut SnapshotReader::new(&blob))
+            .unwrap_err();
+        assert!(
+            matches!(err.kind, SnapshotErrorKind::Invalid(what) if what.contains("zero")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn far_unit_restores_byte_identically_without_a_chunk() {
+        let blob = blob_with_unit_writes(&[(1 << 40, 7)]);
+        let mut m = media();
+        let mut r = SnapshotReader::new(&blob);
+        m.restore(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(m.unit_write_count(MediaAddr::new((1 << 40) * 256)), 7);
+        assert_eq!(m.unit_writes.allocated_chunks(), 0);
+        let mut w = SnapshotWriter::new();
+        m.save(&mut w);
+        assert_eq!(w.into_bytes(), blob);
+    }
+
+    #[test]
+    fn repeated_unit_keeps_its_last_count() {
+        let blob = blob_with_unit_writes(&[(9, 4), (9, 2)]);
+        let mut m = media();
+        m.restore(&mut SnapshotReader::new(&blob)).unwrap();
+        assert_eq!(m.unit_write_count(MediaAddr::new(9 * 256)), 2);
+        assert_eq!(m.unit_writes.len(), 1);
     }
 
     #[test]

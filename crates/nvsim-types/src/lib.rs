@@ -16,6 +16,8 @@
 //! * [`durability`] — crash-consistency vocabulary: the per-line
 //!   [`Durability`] state machine, [`PersistEvent`], [`FaultPlan`] and
 //!   the [`CrashImage`] a power-fail injection produces.
+//! * [`table`] — [`KeyTable`], a chunk-indexed `u64 → u64` table for
+//!   per-page and per-unit state keyed below a configured bound.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@ pub mod request;
 pub mod rng;
 pub mod snapshot;
 pub mod stats;
+pub mod table;
 pub mod time;
 pub mod trace;
 
@@ -50,6 +53,7 @@ pub use request::{MemOp, ReqId, Request, RequestDesc};
 pub use rng::{DetRng, SplitMix64};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use stats::{Histogram, RunningStats};
+pub use table::KeyTable;
 pub use time::Time;
 pub use trace::{
     BreakdownSink, JsonlSink, LatencyBreakdown, NullSink, RequestTrace, SpanRecorder, Stage,

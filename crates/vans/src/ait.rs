@@ -12,7 +12,7 @@ use nvsim_dram::DramModel;
 use nvsim_media::{MediaAddr, WearEvent, WearTracker, XpointMedia};
 use nvsim_types::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use nvsim_types::trace::{SpanRecorder, Stage, StageSpan};
-use nvsim_types::{Addr, Time};
+use nvsim_types::{Addr, KeyTable, Time};
 use std::collections::BTreeMap;
 
 /// Statistics of AIT behaviour.
@@ -38,63 +38,32 @@ pub struct AitStats {
 
 /// Physical page → media frame, for every page the AIT has translated.
 ///
+/// A [`KeyTable`] holding `frame + 1`, where 0 means never translated.
 /// Pages below the media's directly mapped range (`capacity_bytes /
-/// entry_bytes`) index a vector holding `frame + 1`, where 0 means never
-/// translated. The vector grows on demand to the highest such page
-/// translated, so a small footprint never pays for the whole range.
-/// Pages at or past that range (the cloud heap at 128 GiB, page-walk
-/// tables at 1 TiB, any page a snapshot names) stay in an ordered map,
-/// so memory stays bounded by the configuration, not by the address.
+/// entry_bytes`) sit in 4 KiB chunks allocated on first translation;
+/// pages at or past it (the cloud heap at 128 GiB, page-walk tables at
+/// 1 TiB, any page a snapshot names) sit in an ordered map, so memory
+/// stays bounded by the configuration and the pages touched, not by the
+/// address.
 ///
-/// Iteration is ascending by page: every dense page lies below every
-/// sparse one. [`Ait::remap_block`] assigns new frames in this order and
-/// snapshots list entries in it.
+/// Iteration is ascending by page. [`Ait::remap_block`] assigns new
+/// frames in this order and snapshots list entries in it.
 #[derive(Debug)]
-struct TranslationTable {
-    /// `frame + 1` per page below `dense_pages`; 0 = never translated.
-    dense: Vec<u64>,
-    /// Translated pages held in `dense`.
-    dense_len: usize,
-    /// The directly mapped range; pages below it index `dense`.
-    dense_pages: usize,
-    /// Translated pages at or past `dense_pages`.
-    sparse: BTreeMap<u64, u64>,
-}
+struct TranslationTable(KeyTable);
 
 impl TranslationTable {
     fn new(dense_pages: u64) -> Self {
-        TranslationTable {
-            dense: Vec::new(),
-            dense_len: 0,
-            dense_pages: usize::try_from(dense_pages).unwrap_or(usize::MAX),
-            sparse: BTreeMap::new(),
-        }
+        TranslationTable(KeyTable::new(dense_pages))
     }
 
     /// Number of translated pages.
     fn len(&self) -> usize {
-        self.dense_len + self.sparse.len()
-    }
-
-    /// The page's index into `dense`, or `None` for pages at or past the
-    /// directly mapped range.
-    fn dense_slot(&self, page: u64) -> Option<usize> {
-        usize::try_from(page).ok().filter(|&i| i < self.dense_pages)
-    }
-
-    /// Grows `dense` (with never-translated slots) to hold index `i`.
-    fn grow_to(&mut self, i: usize) {
-        if i >= self.dense.len() {
-            self.dense.resize(i + 1, 0);
-        }
+        self.0.len()
     }
 
     /// The page's frame, if it was ever translated.
     fn get(&self, page: u64) -> Option<u64> {
-        match self.dense_slot(page) {
-            Some(i) => self.dense.get(i).and_then(|&stored| stored.checked_sub(1)),
-            None => self.sparse.get(&page).copied(),
-        }
+        self.0.get(page).checked_sub(1)
     }
 
     /// True if the page was ever translated.
@@ -103,47 +72,30 @@ impl TranslationTable {
     }
 
     /// The page's frame; a never-translated page is recorded as mapping
-    /// to its own index.
+    /// to its own index. Pages are addresses divided by an entry size of
+    /// at least 64 B (configuration validation), so `page + 1` cannot
+    /// overflow.
     fn frame(&mut self, page: u64) -> u64 {
-        let Some(i) = self.dense_slot(page) else {
-            return *self.sparse.entry(page).or_insert(page);
-        };
-        self.grow_to(i);
-        if self.dense[i] == 0 {
-            self.dense[i] = page + 1;
-            self.dense_len += 1;
-        }
-        self.dense[i] - 1
+        self.0
+            .update(page, |stored| if stored == 0 { page + 1 } else { stored })
+            - 1
     }
 
     /// Maps `page` to `frame`. Frames are media frame indices whose byte
     /// addresses fit in a `u64` (restore rejects any other), so
     /// `frame + 1` cannot overflow.
     fn insert(&mut self, page: u64, frame: u64) {
-        let Some(i) = self.dense_slot(page) else {
-            self.sparse.insert(page, frame);
-            return;
-        };
-        self.grow_to(i);
-        if self.dense[i] == 0 {
-            self.dense_len += 1;
-        }
-        self.dense[i] = frame + 1;
+        self.0.update(page, |_| frame + 1);
     }
 
     /// Forgets every translation.
     fn clear(&mut self) {
-        self.dense.clear();
-        self.dense_len = 0;
-        self.sparse.clear();
+        self.0.clear();
     }
 
     /// `(page, frame)` pairs in ascending page order.
     fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let dense = (0u64..)
-            .zip(&self.dense)
-            .filter_map(|(page, &stored)| stored.checked_sub(1).map(|frame| (page, frame)));
-        dense.chain(self.sparse.iter().map(|(&page, &frame)| (page, frame)))
+        self.0.iter().map(|(page, stored)| (page, stored - 1))
     }
 }
 
@@ -543,7 +495,19 @@ impl Snapshot for Ait {
         self.dram.restore(r)?;
         self.media.restore(r)?;
         self.wear.restore(r)?;
-        self.next_free_block = r.get_u64()?;
+        let next_free_block = r.get_u64()?;
+        // Migration copies into block `next_free_block` and remaps pages
+        // onto its frames: a block whose end address overflows cannot
+        // name media, and its frame arithmetic would wrap.
+        let block_size = self.wear.config().block_size;
+        if next_free_block
+            .checked_add(1)
+            .and_then(|end| end.checked_mul(block_size))
+            .is_none()
+        {
+            return Err(r.invalid("next free block past the media address space"));
+        }
+        self.next_free_block = next_free_block;
         let n = r.get_usize()?;
         if n > r.remaining() {
             return Err(r.invalid("busy-page count exceeds payload"));
@@ -741,7 +705,7 @@ mod tests {
     #[test]
     fn translation_table_matches_ordered_map_reference() {
         let mut table = small_ait().translations;
-        assert_eq!(table.dense_pages, 64);
+        assert_eq!(table.0.allocated_chunks(), 0);
         let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
         let mut rng = DetRng::seed_from(0x7ab1e);
         for _ in 0..20_000 {
@@ -769,7 +733,8 @@ mod tests {
             assert_eq!(table.len(), reference.len());
             assert_eq!(table.contains(page), reference.contains_key(&page));
             assert!(table.iter().eq(reference.iter().map(|(&p, &f)| (p, f))));
-            assert!(table.dense.len() <= 64);
+            // The 64 directly mapped pages share one chunk.
+            assert!(table.0.allocated_chunks() <= 1);
         }
     }
 
@@ -803,7 +768,7 @@ mod tests {
         a.restore(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(a.translations.get(1 << 40), Some(9));
-        assert_eq!(a.translations.dense.capacity(), 0);
+        assert_eq!(a.translations.0.allocated_chunks(), 0);
         let mut w = SnapshotWriter::new();
         a.save(&mut w);
         assert_eq!(w.into_bytes(), blob);
@@ -819,5 +784,42 @@ mod tests {
             "{err}"
         );
         assert!(!a.translations.contains(3));
+    }
+
+    #[test]
+    fn translating_the_last_direct_page_allocates_one_chunk() {
+        let mut a = ait(16, 1_000_000);
+        let top = MediaConfig::optane_like().capacity_bytes - 4096;
+        a.read(Addr::new(top), 64, Time::ZERO);
+        assert_eq!(a.translations.get(top / 4096), Some(top / 4096));
+        assert_eq!(a.translations.0.allocated_chunks(), 1);
+    }
+
+    /// A restored `next_free_block` must leave the next migration's block
+    /// end inside the media address space; `u64::MAX` once restored and
+    /// overflowed on the first migration.
+    #[test]
+    fn next_free_block_past_the_media_address_space_is_rejected() {
+        let block = WearConfig::optane_like().block_size;
+        let last_ok = u64::MAX / block - 1;
+        for (next_free_block, ok) in [(last_ok, true), (last_ok + 1, false), (u64::MAX, false)] {
+            let mut saved = small_ait();
+            saved.next_free_block = next_free_block;
+            let mut w = SnapshotWriter::new();
+            saved.save(&mut w);
+            let blob = w.into_bytes();
+            let mut a = small_ait();
+            let result = a.restore(&mut SnapshotReader::new(&blob));
+            if ok {
+                result.unwrap();
+                assert_eq!(a.next_free_block, next_free_block);
+            } else {
+                let err = result.unwrap_err();
+                assert!(
+                    matches!(err.kind, SnapshotErrorKind::Invalid(what) if what.contains("block")),
+                    "{err}"
+                );
+            }
+        }
     }
 }

@@ -70,7 +70,6 @@ impl BuildHasher for FoldHash {
 impl Hasher for FoldHash {
     fn write_u64(&mut self, key: u64) {
         let product = u128::from(key ^ self.state) * u128::from(FOLD_MULTIPLIER);
-        // nvsim-lint: allow(cast-truncation) — folds the 128-bit product's two halves
         self.state = (product as u64) ^ ((product >> 64) as u64);
     }
 
