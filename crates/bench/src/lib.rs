@@ -11,6 +11,11 @@
 //! family for performance tracking.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod crashsweep;
 pub mod experiments;

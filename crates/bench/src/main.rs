@@ -22,6 +22,12 @@
 //! Worker count: `--jobs N`, else the machine's available parallelism.
 //! Results are byte-identical across worker counts (see `runner`).
 
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use nvsim_bench::{registry, runnable_for, runner, tracecmd};
 use std::path::PathBuf;
 use std::time::Instant;

@@ -164,9 +164,12 @@ impl Core {
     /// Panics if the cache configuration is invalid (it is a programmer
     /// error to construct a core from an unvalidated ad-hoc config; use
     /// the presets or validate first via [`Core::try_new`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented programmer-error panic on unvalidated configs; simulation \
+                  drivers use try_new"
+    )]
     pub fn new(cfg: CoreConfig) -> Self {
-        // nvsim-lint: allow(panic-path) — documented programmer-error panic
-        // on unvalidated configs; simulation drivers use try_new.
         Self::try_new(cfg).expect("invalid core configuration")
     }
 

@@ -3,8 +3,11 @@
 use nvsim_types::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use nvsim_types::{Addr, MemoryBackend, RequestDesc, Time, VirtAddr};
 use serde::{Deserialize, Serialize};
-// nvsim-lint: allow(unordered-map) — see `TlbArray::entries`: keyed lookups
-// only; recency (the only observed order) lives in the `order` BTreeMap.
+#[expect(
+    clippy::disallowed_types,
+    reason = "see `TlbArray::entries`: keyed lookups only; recency (the only observed \
+              order) lives in the `order` BTreeMap"
+)]
 use std::collections::{BTreeMap, HashMap};
 
 /// TLB hierarchy configuration.
@@ -77,8 +80,11 @@ pub struct Translation {
 
 #[derive(Debug, Clone, Default)]
 struct TlbArray {
-    // nvsim-lint: allow(unordered-map) — never iterated; the LRU victim is
-    // chosen via the deterministic `order` BTreeMap, not this map.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "never iterated; the LRU victim is chosen via the deterministic `order` \
+                  BTreeMap, not this map"
+    )]
     // nvsim-lint: allow(snapshot-field-coverage) — derived mirror of `order`; save serializes `order` alone and restore rebuilds this map from it.
     entries: HashMap<u64, u64>, // vpn -> stamp
     /// Recency index: stamp -> vpn (stamps are unique), for O(log n)
@@ -92,7 +98,7 @@ struct TlbArray {
 impl TlbArray {
     fn new(capacity: usize) -> Self {
         TlbArray {
-            // nvsim-lint: allow(unordered-map) — see field docs: never iterated.
+            #[expect(clippy::disallowed_types, reason = "see field docs: never iterated")]
             entries: HashMap::with_capacity(capacity + 1),
             order: std::collections::BTreeMap::new(),
             capacity,
@@ -158,7 +164,20 @@ impl Snapshot for TlbArray {
         if self.entries.len() != n {
             return Err(r.invalid("duplicate VPNs in TLB snapshot"));
         }
+        // `save` writes unique stamps, none past the clock; anything else
+        // would desynchronise `order` from `entries` and strand entries
+        // that LRU eviction can never reach.
+        if self.order.len() != n {
+            return Err(r.invalid("duplicate stamps in TLB snapshot"));
+        }
         self.clock = r.get_u64()?;
+        if self
+            .order
+            .last_key_value()
+            .is_some_and(|(&stamp, _)| stamp > self.clock)
+        {
+            return Err(r.invalid("TLB stamp past the saved clock"));
+        }
         Ok(())
     }
 }
@@ -345,6 +364,9 @@ impl Snapshot for TlbHierarchy {
             let at = r.get_time()?;
             self.prefetched.insert(vpn, at);
         }
+        if self.prefetched.len() != n {
+            return Err(r.invalid("duplicate VPNs in pre-translation snapshot"));
+        }
         self.stats.l1_hits = r.get_u64()?;
         self.stats.stlb_hits = r.get_u64()?;
         self.stats.walks = r.get_u64()?;
@@ -358,6 +380,7 @@ impl Snapshot for TlbHierarchy {
 mod tests {
     use super::*;
     use nvsim_types::backend::FixedLatencyBackend;
+    use nvsim_types::snapshot::SnapshotErrorKind;
 
     fn mem() -> FixedLatencyBackend {
         FixedLatencyBackend::new(Time::from_ns(100), Time::from_ns(100))
@@ -443,6 +466,82 @@ mod tests {
         assert_eq!(a.cycles, 0);
         assert_eq!(t.stats().pretranslated, 1);
         assert_eq!(t.stats().walks, 0);
+    }
+
+    /// A [`TlbArray`] blob: the `(stamp, vpn)` pairs, then the clock.
+    fn array_blob(entries: &[(u64, u64)], clock: u64) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_usize(entries.len());
+        for &(stamp, vpn) in entries {
+            w.put_u64(stamp);
+            w.put_u64(vpn);
+        }
+        w.put_u64(clock);
+        w.into_bytes()
+    }
+
+    fn restore_array(blob: &[u8]) -> Result<TlbArray, SnapshotError> {
+        let mut a = TlbArray::new(4);
+        a.restore(&mut SnapshotReader::new(blob))?;
+        Ok(a)
+    }
+
+    fn is_invalid<T>(r: Result<T, SnapshotError>) -> bool {
+        matches!(
+            r,
+            Err(SnapshotError {
+                kind: SnapshotErrorKind::Invalid(_),
+                ..
+            })
+        )
+    }
+
+    #[test]
+    fn array_restore_rejects_stamps_save_never_writes() {
+        // Duplicate stamps: `order` would keep one entry of four, and the
+        // other three would never be evicted.
+        let dup = array_blob(&[(5, 1), (5, 2), (5, 3), (5, 4)], 5);
+        assert!(is_invalid(restore_array(&dup)));
+        // A stamp past the clock collides with the next insert's stamp.
+        assert!(is_invalid(restore_array(&array_blob(&[(3, 1), (9, 2)], 5))));
+        // What `save` writes restores and evicts in LRU order.
+        let mut a = TlbArray::new(4);
+        for vpn in 1..=4 {
+            a.insert(vpn);
+        }
+        let mut w = SnapshotWriter::new();
+        a.save(&mut w);
+        let mut b = restore_array(&w.into_bytes()).expect("a saved array restores");
+        for vpn in 100..120 {
+            b.insert(vpn);
+        }
+        assert!((1..=4).all(|vpn| !b.lookup(vpn)));
+    }
+
+    #[test]
+    fn hierarchy_restore_rejects_duplicate_pretranslations() {
+        let mut t = tlb();
+        t.install_pretranslation(7, Time::ZERO);
+        let mut w = SnapshotWriter::new();
+        t.save(&mut w);
+        let good = w.into_bytes();
+        assert!(tlb().restore(&mut SnapshotReader::new(&good)).is_ok());
+        // Re-save with the one pre-translation entry written twice.
+        let mut w = SnapshotWriter::new();
+        w.section(SECTION_TLB);
+        t.l1.save(&mut w);
+        t.stlb.save(&mut w);
+        w.put_usize(2);
+        for _ in 0..2 {
+            w.put_u64(7);
+            w.put_time(Time::ZERO);
+        }
+        // The five stats counters.
+        for _ in 0..5 {
+            w.put_u64(0);
+        }
+        let dup = w.into_bytes();
+        assert!(is_invalid(tlb().restore(&mut SnapshotReader::new(&dup))));
     }
 
     #[test]

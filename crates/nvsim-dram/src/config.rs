@@ -80,7 +80,7 @@ impl DramOrganization {
 /// * `trefi` — average refresh interval.
 /// * `burst_cycles` — data-bus occupancy of one access (BL/2 for DDR).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "every field is documented in the list above")]
 pub struct DramTimings {
     pub cl: u32,
     pub cwl: u32,

@@ -183,6 +183,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test-only membership set, never iterated"
+    )]
     fn flat_bank_is_unique_per_coordinate() {
         let o = org();
         let mut seen = std::collections::HashSet::new();

@@ -8,21 +8,17 @@
 //!     resolution,
 //!   * every call site inside each body (`free()`, `.method()`,
 //!     `Type::assoc()`), name-based — no type inference,
-//!   * every potential panic site inside each body (`.unwrap()`,
-//!     `.expect()`, `panic!`-family macros), tagged with whether a
-//!     justified `allow(panic-path)` annotation sanctions it,
-//!   * whether the function is test-only or carries a fn-level
-//!     `allow(panic-reach)` boundary annotation.
+//!   * whether the function is test-only.
 //!
-//! The output feeds the workspace call graph (R7 `panic-reach`) and the
-//! submit-pairing check (R4 `expect-completion-misuse`). The parser is
-//! deliberately conservative: it only needs brace/paren/bracket matching
-//! plus a small angle-bracket matcher for `impl` headers, never a full
-//! grammar. Anything it cannot classify is simply not an item, which
-//! over-approximates the call graph but never crashes.
+//! The output feeds the submit-pairing check (R4
+//! `expect-completion-misuse`), the snapshot helper walk (R11), the
+//! Driver lock graph (R12) and the unit-domain engine (R15–R18). The
+//! parser is deliberately conservative: it only needs brace/paren/bracket
+//! matching plus a small angle-bracket matcher for `impl` headers, never
+//! a full grammar. Anything it cannot classify is simply not an item,
+//! which over-approximates the call sites but never crashes.
 
 use crate::lexer::{Tok, TokKind};
-use crate::scope::Allow;
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
@@ -35,19 +31,6 @@ pub struct Call {
     pub method: bool,
     pub line: u32,
     pub col: u32,
-}
-
-/// One potential panic site inside a function body.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// Human-readable form (`".unwrap()"`, `"panic!"`, ...).
-    pub what: String,
-    pub line: u32,
-    pub col: u32,
-    /// True when a justified `allow(panic-path)` annotation covers the
-    /// site's line — the panic is a documented boundary and does not
-    /// propagate through the call graph.
-    pub sanctioned: bool,
 }
 
 /// One parsed function item.
@@ -67,17 +50,12 @@ pub struct FnItem {
     pub col: u32,
     /// True when the item sits inside a `#[test]`/`#[cfg(test)]` region.
     pub is_test: bool,
-    /// True when a justified `allow(panic-reach)` annotation anchors to the
-    /// declaration line: the function is a sanctioned panic boundary and
-    /// callers are not flagged for reaching panics through it.
-    pub boundary: bool,
     /// Token-index range `[start, end]` of the body — the opening `{` and
     /// its matching `}` in the *full* token stream — for passes that need
     /// to re-scan body tokens (R11 field references, R12 lock events).
     /// `None` for bodyless trait declarations.
     pub body: Option<(usize, usize)>,
     pub calls: Vec<Call>,
-    pub panics: Vec<PanicSite>,
 }
 
 impl FnItem {
@@ -89,8 +67,6 @@ impl FnItem {
         }
     }
 }
-
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// Keywords that can appear in call-looking position but never name a
 /// workspace function.
@@ -131,26 +107,14 @@ fn is_keyword(name: &str) -> bool {
 
 /// Parse the token stream into function items.
 ///
-/// `mask` is the test-region mask from [`crate::scope::test_mask`];
-/// `allow_list` the parsed annotations from [`crate::scope::allows`]. Both
-/// must come from the same token stream.
-pub fn parse_items(toks: &[Tok], mask: &[bool], allow_list: &[Allow]) -> Vec<FnItem> {
+/// `mask` is the test-region mask from [`crate::scope::test_mask`] over
+/// the same token stream.
+pub fn parse_items(toks: &[Tok], mask: &[bool]) -> Vec<FnItem> {
     // Work over code tokens only, but remember original indices so the
     // test mask can be consulted.
     let code: Vec<usize> = (0..toks.len())
         .filter(|&i| toks[i].kind != TokKind::Comment)
         .collect();
-
-    let sanctions = |line: u32| -> bool {
-        allow_list
-            .iter()
-            .any(|a| a.has_reason && a.rule == "panic-path" && a.applies_line == line)
-    };
-    let boundary_at = |line: u32| -> bool {
-        allow_list
-            .iter()
-            .any(|a| a.has_reason && a.rule == "panic-reach" && a.applies_line == line)
-    };
 
     let mut fns: Vec<FnItem> = Vec::new();
     // (brace depth the block was opened at, owner name, implemented trait).
@@ -214,10 +178,8 @@ pub fn parse_items(toks: &[Tok], mask: &[bool], allow_list: &[Allow]) -> Vec<FnI
                         line: t.line,
                         col: t.col,
                         is_test: mask[i],
-                        boundary: boundary_at(t.line),
                         body: None,
                         calls: Vec::new(),
-                        panics: Vec::new(),
                     };
                     // Find the body `{` (or terminating `;` for bodyless
                     // trait declarations) at paren/bracket depth 0.
@@ -264,7 +226,7 @@ pub fn parse_items(toks: &[Tok], mask: &[bool], allow_list: &[Allow]) -> Vec<FnI
             name => {
                 if let Some(&(fid, _)) = fn_stack.last() {
                     if !mask[i] {
-                        record_site(toks, &code, k, name, fid, &mut fns, &sanctions);
+                        record_call(toks, &code, k, name, &mut fns[fid]);
                     }
                 }
             }
@@ -274,48 +236,16 @@ pub fn parse_items(toks: &[Tok], mask: &[bool], allow_list: &[Allow]) -> Vec<FnI
     fns
 }
 
-/// Record a call or panic site at code-token index `k` against `fns[fid]`.
-fn record_site(
-    toks: &[Tok],
-    code: &[usize],
-    k: usize,
-    name: &str,
-    fid: usize,
-    fns: &mut [FnItem],
-    sanctioned: &dyn Fn(u32) -> bool,
-) {
+/// Record the call site at code-token index `k`, if it is one, against `f`.
+fn record_call(toks: &[Tok], code: &[usize], k: usize, name: &str, f: &mut FnItem) {
     let t = &toks[code[k]];
     let next = code.get(k + 1).map(|&j| &toks[j]);
     let prev = k.checked_sub(1).map(|p| &toks[code[p]]);
-
-    // Panic-family macros.
-    if PANIC_MACROS.contains(&name) && next.is_some_and(|n| n.is_punct('!')) {
-        fns[fid].panics.push(PanicSite {
-            what: format!("{name}!"),
-            line: t.line,
-            col: t.col,
-            sanctioned: sanctioned(t.line),
-        });
-        return;
-    }
 
     if !next.is_some_and(|n| n.is_punct('(')) {
         return;
     }
     let is_method = prev.is_some_and(|p| p.is_punct('.'));
-
-    // `.unwrap()` / `.expect()` panic sites (still recorded as calls too:
-    // a workspace fn named `expect` would shadow, but name resolution only
-    // links to workspace-defined fns).
-    if is_method && (name == "unwrap" || name == "expect") {
-        fns[fid].panics.push(PanicSite {
-            what: format!(".{name}()"),
-            line: t.line,
-            col: t.col,
-            sanctioned: sanctioned(t.line),
-        });
-        return;
-    }
 
     if is_keyword(name) {
         return;
@@ -338,7 +268,7 @@ fn record_site(
         None
     };
 
-    fns[fid].calls.push(Call {
+    f.calls.push(Call {
         name: name.to_string(),
         qual,
         method: is_method,
@@ -621,13 +551,12 @@ fn parse_fields(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::scope::{allows, test_mask};
+    use crate::scope::test_mask;
 
     fn parse(src: &str) -> Vec<FnItem> {
         let toks = lex(src);
         let mask = test_mask(&toks);
-        let al = allows(&toks);
-        parse_items(&toks, &mask, &al)
+        parse_items(&toks, &mask)
     }
 
     #[test]
@@ -680,25 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_sites_and_sanctions_are_recorded() {
-        let src = "
-            fn bad(x: Option<u32>) -> u32 { x.unwrap() }
-            fn ok(x: Option<u32>) -> u32 {
-                match x {
-                    Some(v) => v,
-                    // nvsim-lint: allow(panic-path) — documented boundary
-                    None => panic!(\"boundary\"),
-                }
-            }
-        ";
-        let fns = parse(src);
-        assert_eq!(fns[0].panics.len(), 1);
-        assert!(!fns[0].panics[0].sanctioned);
-        assert_eq!(fns[1].panics.len(), 1);
-        assert!(fns[1].panics[0].sanctioned);
-    }
-
-    #[test]
     fn qualified_calls_carry_their_qualifier() {
         let src = "fn f() { Helper::build(); plain(); }";
         let fns = parse(src);
@@ -716,18 +626,6 @@ mod tests {
         let fns = parse(src);
         assert!(!fns[0].is_test);
         assert!(fns[1].is_test);
-    }
-
-    #[test]
-    fn boundary_annotation_marks_fn() {
-        let src = "
-            // nvsim-lint: allow(panic-reach) — validated at construction
-            fn checked() { inner(); }
-            fn plain() {}
-        ";
-        let fns = parse(src);
-        assert!(fns[0].boundary);
-        assert!(!fns[1].boundary);
     }
 
     fn types(src: &str) -> Vec<TypeDef> {
@@ -762,8 +660,7 @@ mod tests {
         let src = "fn f() { inner(); }\nfn g();\n";
         let toks = lex(src);
         let mask = test_mask(&toks);
-        let al = allows(&toks);
-        let fns = parse_items(&toks, &mask, &al);
+        let fns = parse_items(&toks, &mask);
         let (start, end) = fns[0].body.expect("f has a body");
         assert!(toks[start].is_punct('{'));
         assert!(toks[end].is_punct('}'));

@@ -2,17 +2,31 @@
 //! the nvsim workspace.
 //!
 //! The simulator's reproducibility guarantee (byte-identical `results/` CSVs
-//! for any `--jobs N`, run-to-run) rests on invariants nothing else enforces:
-//! no nondeterministically ordered containers on simulation paths, no wall
-//! clock, no panicking escape hatches on the datapath, full trace coverage.
-//! This crate is a hand-rolled lexer + item-tree parser + workspace call
-//! graph + rule engine (crates.io is unreachable in the build environment,
-//! so no `syn`) that walks workspace sources and enforces them — both
-//! token-level rules and interprocedural ones (transitive panic
-//! reachability). See DESIGN.md "Static analysis & determinism invariants"
-//! for the rule catalog.
+//! for any `--jobs N`, run-to-run) rests on invariants the type checker
+//! cannot see: full trace coverage, every snapshot field saved and
+//! restored, every wire variant encoded, decoded and tested, no narrowing
+//! or pointer casts, consistent unit domains and lock order. (The rules
+//! clippy checks by resolving types — no unordered maps, no host clock, no
+//! locks or threads, no panics on the datapath, no undocumented `unsafe`
+//! — live in the workspace `clippy.toml` and the crate-root lint headers.)
+//! This crate is a hand-rolled lexer + item-tree parser + rule engine (no
+//! `syn`: the linter has no dependencies) that walks workspace sources and
+//! enforces them — both token-level rules and workspace-level ones. See
+//! DESIGN.md "Static analysis & determinism invariants" for the rule
+//! catalog.
 
-pub mod callgraph;
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod items;
 pub mod lexer;
 pub mod locks;

@@ -10,7 +10,7 @@
 //!   * an acquisition while another guard is live adds a direct edge
 //!     `held → acquired`,
 //!   * a call made while a guard is live is resolved (name-based, with
-//!     qualified narrowing exactly like the R7 call graph) against other
+//!     qualified narrowing: `Q::f` links to `f` owned by `Q`) against other
 //!     Driver functions; every lock the callee transitively acquires adds
 //!     an edge from the held lock.
 //!
@@ -606,13 +606,12 @@ pub fn lock_order(files: &[(String, Vec<LockFn>)]) -> Vec<Cycle> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::scope::{allows, test_mask};
+    use crate::scope::test_mask;
 
     fn facts(src: &str) -> Vec<LockFn> {
         let toks = lex(src);
         let mask = test_mask(&toks);
-        let al = allows(&toks);
-        let items = crate::items::parse_items(&toks, &mask, &al);
+        let items = crate::items::parse_items(&toks, &mask);
         collect(&toks, &mask, &items)
     }
 

@@ -10,6 +10,18 @@
 //! suppress a finding is an inline
 //! `// nvsim-lint: allow(<rule>) — <reason>` annotation.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::env;
 use std::fs;
 use std::path::PathBuf;

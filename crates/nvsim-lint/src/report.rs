@@ -45,7 +45,8 @@ impl Report {
     /// `"schema": 5` — v5 drops the baseline file, and with it the
     /// baselined-finding count, the `stale_baseline` rows and the
     /// per-finding `"status"`; `new_count` is renamed `finding_count`.
-    /// v4 grew the `rules` inventory to the R15–R18 unit-domain rules,
+    /// The `rules` inventory lists the ids this build checks, so it shrank
+    /// within v5 when R1–R3, R7, R8 and R10 moved to clippy. v4 grew the `rules` inventory to the R15–R18 unit-domain rules,
     /// whose findings reuse the per-finding `"chain"` field for
     /// operand-provenance evidence. v3 added R11–R14 and `"file_exists"`
     /// on stale-baseline rows; v2 added the schema marker itself;

@@ -1,15 +1,9 @@
 //! Rule catalog and the per-file / workspace-level checks.
 //!
 //! Rules (see DESIGN.md "Static analysis & determinism invariants"):
-//!   R1  `unordered-map`             — no HashMap/HashSet in simulation code
-//!   R2  `wall-clock`                — no std::time / Instant / SystemTime
-//!   R3  `panic-path`                — no .unwrap()/.expect()/panic!-family
 //!   R4  `expect-completion-misuse`  — expect_completion only beside a submit
 //!   R5  `stage-coverage`            — every Stage variant has an emission site
-//!   R7  `panic-reach`               — no transitive path to a panic (call graph)
-//!   R8  `unsafe-undocumented`       — every `unsafe` carries a SAFETY: rationale
 //!   R9  `cast-truncation`           — no narrowing `as` casts on sim paths
-//!   R10 `sync-on-simpath`           — no locks/atomics/threads in simulator crates
 //!   R11 `snapshot-field-coverage`   — every field of a `Snapshot` type saved & restored
 //!   R12 `lock-order`                — no lock-acquisition cycles in Driver code
 //!   R13 `ptr-as-int`                — no pointer-to-integer casts on sim paths
@@ -20,16 +14,23 @@
 //!   R18 `overflow-policy`           — loop-product accumulation states its policy
 //!       `bad-annotation`            — malformed, unjustified or dead allow annotations
 //!
-//! R1–R3, R8–R10 and R13 are token-level per-file checks. R4 and R11 are
-//! per-file semantic checks over the item tree ([`crate::items`]); R7, R12
-//! and R14 are workspace-level: they run over the call graph
-//! ([`crate::callgraph`]), the Driver lock graph ([`crate::locks`]) and
-//! the aggregated protocol-reference facts respectively. R15–R18 ride on
-//! the unit-domain dataflow engine ([`crate::units`]): R17/R18 fire
-//! per-file, R15/R16 fire at aggregation time so call operands resolve
-//! against the workspace fn-unit summary map.
+//! The rules clippy checks by resolving types live in the root
+//! `clippy.toml` and the crate-root lint headers instead: R1
+//! `unordered-map`, R2 `wall-clock` and R10 `sync-on-simpath` became
+//! `disallowed-types`/`disallowed-methods` entries, R3 `panic-path` and
+//! R8 `unsafe-undocumented` the `unwrap_used`/`expect_used`/`panic`-family
+//! and `undocumented_unsafe_blocks` lints. R7 `panic-reach` went with R3:
+//! it only extended R3's findings. Their numbers stay retired.
+//!
+//! R9 and R13 are token-level per-file checks. R4 and R11 are per-file
+//! semantic checks over the item tree ([`crate::items`]); R12 and R14 are
+//! workspace-level: they run over the Driver lock graph
+//! ([`crate::locks`]) and the aggregated protocol-reference facts
+//! respectively. R15–R18 ride on the unit-domain dataflow engine
+//! ([`crate::units`]): R17/R18 fire per-file, R15/R16 fire at
+//! aggregation time so call operands resolve against the workspace
+//! fn-unit summary map.
 
-use crate::callgraph::Graph;
 use crate::items::{parse_items, parse_types, FnItem, TypeDef};
 use crate::lexer::{lex, Tok, TokKind};
 use crate::locks::{self, LockFn};
@@ -40,15 +41,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Rule identifiers, ordered as in the catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    UnorderedMap,
-    WallClock,
-    PanicPath,
     ExpectCompletionMisuse,
     StageCoverage,
-    PanicReach,
-    UnsafeUndocumented,
     CastTruncation,
-    SyncOnSimPath,
     SnapshotFieldCoverage,
     LockOrder,
     PtrAsInt,
@@ -60,16 +55,10 @@ pub enum Rule {
     BadAnnotation,
 }
 
-pub const ALL_RULES: [Rule; 18] = [
-    Rule::UnorderedMap,
-    Rule::WallClock,
-    Rule::PanicPath,
+pub const ALL_RULES: [Rule; 12] = [
     Rule::ExpectCompletionMisuse,
     Rule::StageCoverage,
-    Rule::PanicReach,
-    Rule::UnsafeUndocumented,
     Rule::CastTruncation,
-    Rule::SyncOnSimPath,
     Rule::SnapshotFieldCoverage,
     Rule::LockOrder,
     Rule::PtrAsInt,
@@ -84,15 +73,9 @@ pub const ALL_RULES: [Rule; 18] = [
 impl Rule {
     pub fn id(self) -> &'static str {
         match self {
-            Rule::UnorderedMap => "unordered-map",
-            Rule::WallClock => "wall-clock",
-            Rule::PanicPath => "panic-path",
             Rule::ExpectCompletionMisuse => "expect-completion-misuse",
             Rule::StageCoverage => "stage-coverage",
-            Rule::PanicReach => "panic-reach",
-            Rule::UnsafeUndocumented => "unsafe-undocumented",
             Rule::CastTruncation => "cast-truncation",
-            Rule::SyncOnSimPath => "sync-on-simpath",
             Rule::SnapshotFieldCoverage => "snapshot-field-coverage",
             Rule::LockOrder => "lock-order",
             Rule::PtrAsInt => "ptr-as-int",
@@ -107,20 +90,6 @@ impl Rule {
 
     pub fn rationale(self) -> &'static str {
         match self {
-            Rule::UnorderedMap => {
-                "HashMap/HashSet iteration order is randomized per process; any simulated \
-                 quantity derived from it breaks run-to-run CSV reproducibility. Use \
-                 BTreeMap/BTreeSet or a slab, or annotate with a written argument that \
-                 iteration order is never observed."
-            }
-            Rule::WallClock => {
-                "wall-clock time on the simulation path makes simulated cycles depend on \
-                 host load; Instant/SystemTime belong only in bench perf recording and shims"
-            }
-            Rule::PanicPath => {
-                "datapath code must route failures through BackendError/Result; panics tear \
-                 down worker threads mid-experiment and poison partial results"
-            }
             Rule::ExpectCompletionMisuse => {
                 "expect_completion is only infallible for a request submitted in the same \
                  function; anywhere else the id may already be taken — use \
@@ -130,27 +99,10 @@ impl Rule {
                 "a Stage variant with no SpanRecorder emission site is dead attribution: \
                  per-stage latency breakdowns silently under-report"
             }
-            Rule::PanicReach => {
-                "this function transitively reaches a panic through the call graph; a \
-                 deep panic tears down the experiment exactly like a direct one but is \
-                 invisible to per-site review. Route the failure through Result, or mark \
-                 a reviewed boundary with allow(panic-reach)"
-            }
-            Rule::UnsafeUndocumented => {
-                "every unsafe block/fn/impl needs a `// SAFETY:` comment on the same or \
-                 preceding line stating the invariant that makes it sound; undocumented \
-                 unsafe cannot be audited"
-            }
             Rule::CastTruncation => {
                 "a narrowing `as` cast silently wraps out-of-range cycle/address counters \
                  and corrupts simulated results; use try_into/checked conversion or \
                  annotate with a written bound argument"
-            }
-            Rule::SyncOnSimPath => {
-                "locks, atomics and threads have no place inside the simulator: the model \
-                 is single-threaded by construction and sync primitives smuggle in \
-                 scheduling-dependent behavior; parallelism lives only in Driver-class code \
-                 (`nvsim-serve`'s `executor::run_indexed` pool and the daemon loops)"
             }
             Rule::SnapshotFieldCoverage => {
                 "a field of a `Snapshot` type that is not written in `save` and read back \
@@ -218,20 +170,14 @@ impl Rule {
 
     /// Catalog number as documented in the module header and DESIGN.md.
     /// `None` for `bad-annotation`, which polices the annotation syntax
-    /// itself and has never carried a number. (There is no R6 — the slot
-    /// was retired before v1 shipped and the numbering is frozen in the
-    /// docs and the README rule table.)
+    /// itself and has never carried a number. The numbering is frozen:
+    /// R6 was retired before v1 shipped, and R1–R3, R7, R8 and R10 moved
+    /// to clippy (see the module docs).
     pub fn number(self) -> Option<u32> {
         match self {
-            Rule::UnorderedMap => Some(1),
-            Rule::WallClock => Some(2),
-            Rule::PanicPath => Some(3),
             Rule::ExpectCompletionMisuse => Some(4),
             Rule::StageCoverage => Some(5),
-            Rule::PanicReach => Some(7),
-            Rule::UnsafeUndocumented => Some(8),
             Rule::CastTruncation => Some(9),
-            Rule::SyncOnSimPath => Some(10),
             Rule::SnapshotFieldCoverage => Some(11),
             Rule::LockOrder => Some(12),
             Rule::PtrAsInt => Some(13),
@@ -249,15 +195,9 @@ impl Rule {
     /// one place a rule's documentation lives.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::UnorderedMap => "no HashMap/HashSet on simulation paths",
-            Rule::WallClock => "no Instant/SystemTime on simulation paths",
-            Rule::PanicPath => "no panic!/unwrap/expect on the datapath",
             Rule::ExpectCompletionMisuse => "expect_completion only after a same-function submit",
             Rule::StageCoverage => "every Stage variant has a trace emission site",
-            Rule::PanicReach => "no transitive path from simulation code to a panic",
-            Rule::UnsafeUndocumented => "every unsafe block carries a SAFETY comment",
             Rule::CastTruncation => "no narrowing `as` casts of counters/addresses",
-            Rule::SyncOnSimPath => "no locks/atomics/threads inside the simulator",
             Rule::SnapshotFieldCoverage => "every Snapshot field is saved and restored",
             Rule::LockOrder => "no conflicting lock-acquisition orders (Driver code)",
             Rule::PtrAsInt => "no pointer-to-integer casts (ASLR nondeterminism)",
@@ -280,22 +220,13 @@ impl Rule {
     /// any `chain` payload.
     pub fn evidence(self) -> &'static str {
         match self {
-            Rule::UnorderedMap
-            | Rule::WallClock
-            | Rule::PanicPath
-            | Rule::SyncOnSimPath
-            | Rule::PtrAsInt
+            Rule::PtrAsInt
             | Rule::CastTruncation
-            | Rule::UnsafeUndocumented
             | Rule::BadAnnotation
             | Rule::ExpectCompletionMisuse => "file:line:col of the offending token",
             Rule::StageCoverage => {
                 "the Stage variant's definition site; fires when no \
                  SpanRecorder emission references it anywhere in the workspace"
-            }
-            Rule::PanicReach => {
-                "the reaching function's definition site, with the full \
-                 call chain to the panic in the finding's `chain` field"
             }
             Rule::SnapshotFieldCoverage => {
                 "the field's declaration site, naming which of \
@@ -332,7 +263,7 @@ impl Rule {
     }
 }
 
-/// The 18-rule inventory as a GitHub-flavored markdown table — the exact
+/// The rule inventory as a GitHub-flavored markdown table — the exact
 /// text embedded in README.md between the `<!-- nvsim-lint-rules -->`
 /// markers; a workspace test diffs the two so the docs cannot drift from
 /// the code.
@@ -353,9 +284,11 @@ pub fn rules_markdown_table() -> String {
 pub enum FileClass {
     /// Simulator source: all rules apply.
     Simulation,
-    /// Bench/examples driver code: wall clock, panics, narrowing stat casts
-    /// and the worker pool's threads are legitimate there, but determinism
-    /// (R1), completion discipline (R4) and unsafe hygiene (R8) still apply.
+    /// Driver code (the bench crate, the serve executor and daemon loops,
+    /// binary entrypoints): narrowing stat casts, locks and threads are
+    /// legitimate there, but completion discipline (R4) still applies and
+    /// R12 checks the lock order. (Clippy keeps the unordered-map and
+    /// unsafe-comment rules on it.)
     Driver,
     /// Examples: R4 only (they demonstrate the public API).
     Example,
@@ -420,8 +353,8 @@ pub struct Finding {
     pub col: u32,
     pub rule: Rule,
     pub message: String,
-    /// Chain evidence: the R7 call path (caller first, panic site last) or
-    /// the R12 lock-acquisition cycle (first lock repeated at the end).
+    /// Chain evidence: the R12 lock-acquisition cycle (first lock
+    /// repeated at the end), or the R15/R16 operand provenance.
     pub chain: Vec<String>,
 }
 
@@ -438,7 +371,7 @@ pub enum ProtoRef {
 }
 
 /// Per-file facts feeding the workspace-level passes (R5 stage coverage,
-/// the R7 call graph, R12 lock order, R14 protocol coverage).
+/// R12 lock order, R14 protocol coverage, R15/R16 unit resolution).
 #[derive(Debug, Default)]
 pub struct FileFacts {
     /// `(variant, line)` pairs from the `enum Stage` definition, if this
@@ -447,9 +380,6 @@ pub struct FileFacts {
     /// Variants referenced as `Stage::X` in non-test code of a file that
     /// records spans (contains `SpanRecorder` or `StageSpan::new`).
     pub emitted: Vec<String>,
-    /// Parsed function items (simulation-class files only) for the
-    /// workspace call graph.
-    pub items: Vec<FnItem>,
     /// Justified allow annotations naming a known rule: `aggregate`
     /// suppresses this file's findings with them, from every pass.
     pub allows: Vec<Allow>,
@@ -495,26 +425,6 @@ const COMPLETION_MODULE: &str = "nvsim-types/src/backend.rs";
 /// flagged; the repo builds 64-bit only.)
 const NARROW_INTS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 
-/// Synchronization primitives banned inside simulator crates (R10).
-const SYNC_TYPES: [&str; 16] = [
-    "Mutex",
-    "RwLock",
-    "Condvar",
-    "Barrier",
-    "AtomicBool",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicUsize",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicIsize",
-    "mpsc",
-];
-
 /// Lint a single file. Returns per-site findings, before any allow is
 /// applied, and workspace facts.
 pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileFacts) {
@@ -559,19 +469,6 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
             }
         }
     };
-    let prev_code =
-        |i: usize| -> Option<&Tok> { toks[..i].iter().rev().find(|t| t.kind != TokKind::Comment) };
-
-    // Last line of each SAFETY: comment, for R8 adjacency (a multi-line
-    // block comment sanctions the line after its *end*).
-    let safety_ends: Vec<u32> = toks
-        .iter()
-        .filter(|t| t.kind == TokKind::Comment && t.text.contains("SAFETY:"))
-        .map(|t| {
-            let newlines = t.text.matches('\n').count();
-            t.line + u32::try_from(newlines).unwrap_or(u32::MAX)
-        })
-        .collect();
 
     // The defining file (trace.rs) references every variant in `Stage::ALL`
     // and in the recorder impl itself — those are not emission sites.
@@ -591,91 +488,6 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
         }
         let name = t.text.as_str();
 
-        // R1 — unordered maps.
-        if class != FileClass::Example && (name == "HashMap" || name == "HashSet") {
-            push(
-                Rule::UnorderedMap,
-                t.line,
-                t.col,
-                format!(
-                    "`{name}` on a simulation path: {}",
-                    Rule::UnorderedMap.rationale()
-                ),
-            );
-        }
-
-        // R2 — wall clock (simulation only).
-        if class == FileClass::Simulation {
-            if name == "Instant" || name == "SystemTime" {
-                push(
-                    Rule::WallClock,
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{name}` on a simulation path: {}",
-                        Rule::WallClock.rationale()
-                    ),
-                );
-            }
-            if name == "std"
-                && next_code(i).is_some_and(|n| n.is_punct(':'))
-                && toks.get(i + 3).is_some_and(|n| n.is_ident("time"))
-            {
-                push(
-                    Rule::WallClock,
-                    t.line,
-                    t.col,
-                    format!("`std::time` import: {}", Rule::WallClock.rationale()),
-                );
-            }
-        }
-
-        // R3 — panic paths (simulation only).
-        if class == FileClass::Simulation {
-            let method_call = |n: &str| {
-                name == n
-                    && prev_code(i).is_some_and(|p| p.is_punct('.'))
-                    && next_code(i).is_some_and(|n| n.is_punct('('))
-            };
-            if method_call("unwrap") || method_call("expect") {
-                push(
-                    Rule::PanicPath,
-                    t.line,
-                    t.col,
-                    format!("`.{name}()` on a datapath: {}", Rule::PanicPath.rationale()),
-                );
-            }
-            if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")
-                && next_code(i).is_some_and(|n| n.is_punct('!'))
-            {
-                push(
-                    Rule::PanicPath,
-                    t.line,
-                    t.col,
-                    format!("`{name}!` on a datapath: {}", Rule::PanicPath.rationale()),
-                );
-            }
-        }
-
-        // R8 — undocumented unsafe (simulation + driver; examples have none
-        // by policy review, and shims/tests are skipped anyway).
-        if class != FileClass::Example
-            && name == "unsafe"
-            && !safety_ends
-                .iter()
-                .any(|&end| end == t.line || end + 1 == t.line)
-        {
-            push(
-                Rule::UnsafeUndocumented,
-                t.line,
-                t.col,
-                format!(
-                    "`unsafe` without a SAFETY: comment: {}",
-                    Rule::UnsafeUndocumented.rationale()
-                ),
-            );
-        }
-
         // R9 — narrowing casts (simulation only; driver stat paths exempt).
         if class == FileClass::Simulation && name == "as" {
             if let Some(ty) = next_code(i).filter(|n| n.kind == TokKind::Ident) {
@@ -691,33 +503,6 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
                         ),
                     );
                 }
-            }
-        }
-
-        // R10 — sync primitives (simulation only; Driver-class code such as
-        // the worker pool may hold them).
-        if class == FileClass::Simulation {
-            if SYNC_TYPES.contains(&name) {
-                push(
-                    Rule::SyncOnSimPath,
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{name}` in a simulator crate: {}",
-                        Rule::SyncOnSimPath.rationale()
-                    ),
-                );
-            }
-            if name == "thread" && next_code(i).is_some_and(|n| n.is_punct(':')) {
-                push(
-                    Rule::SyncOnSimPath,
-                    t.line,
-                    t.col,
-                    format!(
-                        "`thread::` path in a simulator crate: {}",
-                        Rule::SyncOnSimPath.rationale()
-                    ),
-                );
             }
         }
 
@@ -741,14 +526,14 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
         }
     }
 
-    // Item tree: feeds R4 here and the workspace call graph (R7) upstream.
-    facts.items = parse_items(&toks, &mask, &allow_list);
+    // Item tree: feeds R4, R11, R12 and the unit-domain engine.
+    let items = parse_items(&toks, &mask);
 
     // R15–R18 — unit-domain dataflow (simulation only). R17/R18 fire
     // here; R15/R16 operator facts and fn-unit summaries go to the
     // aggregation pass for cross-file call resolution.
     if class == FileClass::Simulation {
-        let ufacts = units::analyze(&toks, &mask, &facts.items);
+        let ufacts = units::analyze(&toks, &mask, &items);
         for lf in &ufacts.local {
             let rule = match lf.rule {
                 units::LocalRule::TimingLiteral => Rule::TimingLiteralProvenance,
@@ -768,7 +553,7 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
     if class == FileClass::Simulation {
         let typedefs = parse_types(&toks, &mask);
         for def in &typedefs {
-            snapshot_field_coverage(&toks, &facts.items, def, &mut |line, col, msg| {
+            snapshot_field_coverage(&toks, &items, def, &mut |line, col, msg| {
                 push(Rule::SnapshotFieldCoverage, line, col, msg);
             });
         }
@@ -788,21 +573,21 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
             }
         }
         if rel.contains("crates/nvsim-serve/") {
-            facts.proto_refs = proto_refs(&toks, &mask, &facts.items, class);
+            facts.proto_refs = proto_refs(&toks, &mask, &items, class);
         }
     }
 
     // R12 facts — lock acquisitions and guard extents (Driver files only;
-    // R10 keeps everything else lock-free).
+    // clippy's R10 configuration keeps everything else lock-free).
     if class == FileClass::Driver {
-        facts.lock_fns = locks::collect(&toks, &mask, &facts.items);
+        facts.lock_fns = locks::collect(&toks, &mask, &items);
     }
 
     // R4 — expect_completion outside the completion-bookkeeping module must
     // sit in a function that submits the request itself; anywhere else the
     // panic-on-miss contract cannot be locally verified.
     if !rel.ends_with(COMPLETION_MODULE) {
-        for f in facts.items.iter().filter(|f| !f.is_test) {
+        for f in items.iter().filter(|f| !f.is_test) {
             let submits = f.calls.iter().any(|c| c.name == "submit");
             if submits {
                 continue;
@@ -1103,7 +888,7 @@ pub fn protocol_coverage(
 }
 
 /// Workspace-level R15/R16: resolve call operands through the fn-unit
-/// summary map (qualified-name narrowing, like the call graph) and fire
+/// summary map (qualified-name narrowing, like the lock graph) and fire
 /// unit mismatches and bare-literal address-domain crossings.
 fn unit_findings(unit_files: &[(String, Vec<UnitOp>)], fn_units: &[FnUnit]) -> Vec<Finding> {
     let mut summary: BTreeMap<&str, Vec<(&Option<String>, Unit)>> = BTreeMap::new();
@@ -1304,8 +1089,8 @@ pub fn lint_sources<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> 
 }
 
 /// Combine the per-file results of [`lint_file`] and run the
-/// workspace-level passes: R5 stage coverage, the R7 call graph, the R12
-/// lock graph, R14 protocol coverage, and R15/R16 call-operand resolution.
+/// workspace-level passes: R5 stage coverage, the R12 lock graph, R14
+/// protocol coverage, and R15/R16 call-operand resolution.
 /// Then apply the allows, the one place any finding is suppressed: a
 /// finding goes when a justified allow of its rule applies to its line,
 /// and an allow that suppresses no finding is itself a `bad-annotation`
@@ -1314,7 +1099,6 @@ fn aggregate(per_file: Vec<(String, Vec<Finding>, FileFacts)>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut emitted_all: Vec<String> = Vec::new();
     let mut stage_def: Option<(String, Vec<(String, u32)>)> = None;
-    let mut graph_files: Vec<(String, Vec<FnItem>)> = Vec::new();
     let mut allows_by_file: BTreeMap<String, Vec<Allow>> = BTreeMap::new();
     // (definition file, [(enum, variant, line)]).
     type ProtoDef = (String, Vec<(String, String, u32)>);
@@ -1343,29 +1127,9 @@ fn aggregate(per_file: Vec<(String, Vec<Finding>, FileFacts)>) -> Vec<Finding> {
         if !facts.lock_fns.is_empty() {
             lock_files.push((rel.clone(), std::mem::take(&mut facts.lock_fns)));
         }
-        if classify(&rel) == FileClass::Simulation {
-            graph_files.push((rel, std::mem::take(&mut facts.items)));
-        }
     }
     if let Some((def_file, defined)) = &stage_def {
         findings.extend(stage_coverage(def_file, defined, &emitted_all));
-    }
-    // R7 — transitive panic reachability over the workspace call graph.
-    let graph = Graph::build(graph_files);
-    for r in graph.panic_reaches() {
-        findings.push(Finding {
-            file: r.file,
-            line: r.line,
-            col: r.col,
-            rule: Rule::PanicReach,
-            message: format!(
-                "fn `{}` transitively reaches a panic ({} hop(s)): {}",
-                r.name,
-                r.chain.len().saturating_sub(2),
-                Rule::PanicReach.rationale()
-            ),
-            chain: r.chain,
-        });
     }
     // R12 — lock-order cycles over the Driver lock graph.
     for c in locks::lock_order(&lock_files) {

@@ -5,8 +5,8 @@
 //! `#[test]`, `#[should_panic]`, or `#[cfg(test)]` (also `#[cfg(any(test, ..))]`
 //! etc. — any `cfg` attribute mentioning the ident `test`) is skipped by all
 //! per-site rules, along with its entire `{ ... }` body. That is how a
-//! `HashMap` inside a `#[cfg(test)] mod tests` block stays clean without the
-//! lexer understanding modules.
+//! narrowing cast inside a `#[cfg(test)] mod tests` block stays clean without
+//! the lexer understanding modules.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -277,11 +277,11 @@ mod tests {
     #[test]
     fn allow_parsing_trailing_and_preceding() {
         let src = "
-            use std::collections::HashMap; // nvsim-lint: allow(unordered-map) — lookup only
-            // nvsim-lint: allow(unordered-map) — keyed lookups, never iterated
-            field: HashMap<u64, u32>,
-            // nvsim-lint: allow(unordered-map)
-            bare: HashMap<u64, u32>,
+            let a = n as u32; // nvsim-lint: allow(cast-truncation) — n < 2^20
+            // nvsim-lint: allow(cast-truncation) — bounded by the array length
+            let b = m as u32;
+            // nvsim-lint: allow(cast-truncation)
+            let c = k as u32;
         ";
         let toks = lex(src);
         let al = allows(&toks);

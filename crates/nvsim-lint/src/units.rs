@@ -23,9 +23,9 @@
 //!   * records every `+`/`-`/compare/assign site whose operand units
 //!     could conflict as a [`UnitOp`] *fact*; sites whose operand is a
 //!     workspace function call are resolved later against the workspace
-//!     [`FnUnit`] summary map (same qualified-name narrowing as the call
+//!     [`FnUnit`] summary map (same qualified-name narrowing as the lock
 //!     graph), so the per-file pass needs no other file and the cross-file
-//!     pass runs over the collected facts, exactly like R7/R12/R14.
+//!     pass runs over the collected facts, exactly like R12/R14.
 //!
 //! Four rules ride on the engine (firing logic in [`crate::rules`]):
 //! R15 `unit-mismatch` and R16 `addr-domain` fire at aggregation time
@@ -1670,13 +1670,12 @@ mod tests {
     use super::*;
     use crate::items::parse_items;
     use crate::lexer::lex;
-    use crate::scope::{allows, test_mask};
+    use crate::scope::test_mask;
 
     fn run(src: &str) -> UnitFacts {
         let toks = lex(src);
         let mask = test_mask(&toks);
-        let al = allows(&toks);
-        let items = parse_items(&toks, &mask, &al);
+        let items = parse_items(&toks, &mask);
         analyze(&toks, &mask, &items)
     }
 

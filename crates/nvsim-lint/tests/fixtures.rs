@@ -20,168 +20,111 @@ fn rule_count(path: &str, src: &str, rule: Rule) -> usize {
         .count()
 }
 
-// ---------------------------------------------------------------- R1
+// ------------------------------------- lexing, test regions and allows
+//
+// The mechanisms every rule shares, shown on R9: matches inside strings,
+// comments and test regions never count, and a justified allow on the
+// finding's line or the line above suppresses it.
 
 #[test]
-fn r1_hashmap_in_sim_crate_is_flagged() {
-    let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u64, u64> }\n";
-    assert_eq!(rule_count(SIM, src, Rule::UnorderedMap), 2);
+fn cast_in_string_literal_is_clean() {
+    let src = "fn f() -> &'static str { \"n as u32 is banned\" }\n";
+    assert_eq!(rule_count(SIM, src, Rule::CastTruncation), 0);
 }
 
 #[test]
-fn r1_hashset_is_flagged() {
-    let src = "fn f() { let s = std::collections::HashSet::<u64>::new(); }\n";
-    assert_eq!(rule_count(SIM, src, Rule::UnorderedMap), 1);
+fn cast_in_comment_is_clean() {
+    let src = "// why no n as u32 here: truncation\n/* n as u8 /* nested */ */\nfn f() {}\n";
+    assert_eq!(rule_count(SIM, src, Rule::CastTruncation), 0);
 }
 
 #[test]
-fn r1_hashmap_in_string_literal_is_clean() {
-    let src = "fn f() -> &'static str { \"HashMap::new() is banned\" }\n";
-    assert_eq!(rule_count(SIM, src, Rule::UnorderedMap), 0);
-}
-
-#[test]
-fn r1_hashmap_in_comment_is_clean() {
-    let src = "// why no HashMap here: iteration order\n/* HashMap /* nested */ */\nfn f() {}\n";
-    assert_eq!(rule_count(SIM, src, Rule::UnorderedMap), 0);
-}
-
-#[test]
-fn r1_hashmap_in_cfg_test_module_is_clean() {
+fn cast_in_cfg_test_module_is_clean() {
     let src = "
 fn live() {}
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
     #[test]
-    fn t() { let _ = HashMap::<u64, u64>::new(); }
+    fn t() { let _ = 7u64 as u32; }
 }
 ";
-    assert_eq!(rule_count(SIM, src, Rule::UnorderedMap), 0);
+    assert_eq!(rule_count(SIM, src, Rule::CastTruncation), 0);
 }
 
 #[test]
-fn r1_allow_annotation_with_reason_suppresses() {
+fn allow_annotation_with_reason_suppresses() {
     let src = "
-// nvsim-lint: allow(unordered-map) — key-indexed lookups only, never iterated
-use std::collections::HashMap;
-struct S {
-    // nvsim-lint: allow(unordered-map) — order recovered via intrusive list
-    m: HashMap<u64, u32>,
+fn f(n: u64, m: u64) -> (u32, u16) {
+    // nvsim-lint: allow(cast-truncation) — n is a channel index < 8 by config
+    let a = n as u32;
+    (
+        a,
+        // nvsim-lint: allow(cast-truncation) — m < 2^10 by construction
+        m as u16,
+    )
 }
 ";
-    assert_eq!(rule_count(SIM, src, Rule::UnorderedMap), 0);
+    assert_eq!(rule_count(SIM, src, Rule::CastTruncation), 0);
     assert_eq!(rule_count(SIM, src, Rule::BadAnnotation), 0);
 }
 
 #[test]
-fn r1_allow_annotation_without_reason_does_not_suppress() {
-    let src = "// nvsim-lint: allow(unordered-map)\nuse std::collections::HashMap;\n";
-    assert_eq!(rule_count(SIM, src, Rule::UnorderedMap), 1);
+fn allow_annotation_without_reason_does_not_suppress() {
+    let src = "fn f(n: u64) -> u32 {\n    // nvsim-lint: allow(cast-truncation)\n    n as u32\n}\n";
+    assert_eq!(rule_count(SIM, src, Rule::CastTruncation), 1);
     assert_eq!(rule_count(SIM, src, Rule::BadAnnotation), 1);
 }
 
 #[test]
-fn r1_trailing_allow_annotation_suppresses_same_line() {
-    let src = "use std::collections::HashMap; // nvsim-lint: allow(unordered-map) — lookup only\n";
-    assert_eq!(rule_count(SIM, src, Rule::UnorderedMap), 0);
+fn trailing_allow_annotation_suppresses_same_line() {
+    let src = "fn f(n: u64) -> u32 { n as u32 } // nvsim-lint: allow(cast-truncation) — n < 8\n";
+    assert_eq!(rule_count(SIM, src, Rule::CastTruncation), 0);
 }
 
 #[test]
-fn r1_unknown_rule_id_in_annotation_is_flagged() {
+fn unknown_rule_id_in_annotation_is_flagged() {
     let src = "// nvsim-lint: allow(no-such-rule) — whatever\nfn f() {}\n";
     assert_eq!(rule_count(SIM, src, Rule::BadAnnotation), 1);
 }
 
+/// The ids of the rules clippy checks are unknown here: an annotation
+/// naming one is a finding, so none can linger in the tree.
 #[test]
-fn r1_exempt_in_shims_and_tests() {
-    let src = "use std::collections::HashMap;\n";
+fn retired_rule_ids_are_unknown() {
+    for id in [
+        "unordered-map",
+        "wall-clock",
+        "panic-path",
+        "panic-reach",
+        "unsafe-undocumented",
+        "sync-on-simpath",
+    ] {
+        assert_eq!(Rule::from_id(id), None, "{id}");
+        let src = format!("// nvsim-lint: allow({id}) — moved to clippy\nfn f() {{}}\n");
+        assert_eq!(rule_count(SIM, &src, Rule::BadAnnotation), 1, "{id}");
+    }
+}
+
+#[test]
+fn shims_and_test_trees_are_exempt() {
+    let src = "fn f(n: u64) -> u32 { n as u32 }\n";
     assert_eq!(
-        rule_count("crates/shims/serde/src/lib.rs", src, Rule::UnorderedMap),
+        rule_count("crates/shims/serde/src/lib.rs", src, Rule::CastTruncation),
         0
     );
     assert_eq!(
-        rule_count("crates/vans/tests/integration.rs", src, Rule::UnorderedMap),
-        0
-    );
-}
-
-#[test]
-fn r1_applies_to_bench_runner_code() {
-    let src = "use std::collections::HashMap;\n";
-    assert_eq!(
-        rule_count("crates/bench/src/runner.rs", src, Rule::UnorderedMap),
-        1
-    );
-}
-
-// ---------------------------------------------------------------- R2
-
-#[test]
-fn r2_instant_in_sim_crate_is_flagged() {
-    let src = "use std::time::Instant;\nfn f() { let _t = Instant::now(); }\n";
-    assert!(rule_count(SIM, src, Rule::WallClock) >= 2);
-}
-
-#[test]
-fn r2_instantiated_in_comment_is_clean() {
-    let src = "// Instantiated lazily; see SystemTime docs.\nfn f() {}\n";
-    assert_eq!(rule_count(SIM, src, Rule::WallClock), 0);
-}
-
-#[test]
-fn r2_bench_is_exempt() {
-    let src = "use std::time::Instant;\nfn f() { let _t = Instant::now(); }\n";
-    assert_eq!(
-        rule_count("crates/bench/src/perf.rs", src, Rule::WallClock),
+        rule_count(
+            "crates/vans/tests/integration.rs",
+            src,
+            Rule::CastTruncation
+        ),
         0
     );
 }
 
-// ---------------------------------------------------------------- R3
-
 #[test]
-fn r3_unwrap_and_expect_calls_are_flagged() {
-    let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() + x.expect(\"msg\") }\n";
-    assert_eq!(rule_count(SIM, src, Rule::PanicPath), 2);
-}
-
-#[test]
-fn r3_panic_family_macros_are_flagged() {
-    let src =
-        "fn f(n: u32) { match n { 0 => panic!(\"boom\"), 1 => unreachable!(), _ => todo!() } }\n";
-    assert_eq!(rule_count(SIM, src, Rule::PanicPath), 3);
-}
-
-#[test]
-fn r3_unwrap_or_and_expect_completion_are_clean() {
-    let src =
-        "fn f(x: Option<u32>, b: &mut B) -> u32 { x.unwrap_or(0) + b.expect_completion(1) }\n";
-    assert_eq!(rule_count(SIM, src, Rule::PanicPath), 0);
-}
-
-#[test]
-fn r3_asserts_are_clean() {
-    let src = "fn f(n: u32) { assert!(n > 0); debug_assert_eq!(n, n); }\n";
-    assert_eq!(rule_count(SIM, src, Rule::PanicPath), 0);
-}
-
-#[test]
-fn r3_test_fn_may_unwrap() {
-    let src = "
-#[test]
-fn t() { Some(1).unwrap(); }
-#[cfg(test)]
-mod tests { fn h() { panic!(\"fine in tests\"); } }
-";
-    assert_eq!(rule_count(SIM, src, Rule::PanicPath), 0);
-}
-
-#[test]
-fn r3_fn_named_unwrap_definition_is_clean() {
-    // Only method-call position `.unwrap(` is flagged.
-    let src = "fn unwrap(x: u32) -> u32 { x }\nfn g() { let _ = unwrap(3); }\n";
-    assert_eq!(rule_count(SIM, src, Rule::PanicPath), 0);
+fn bench_runner_code_is_driver_class() {
+    assert!(rule_count("crates/bench/src/runner.rs", LOCK_CYCLE, Rule::LockOrder) > 0);
 }
 
 // ---------------------------------------------------------------- R4
@@ -335,201 +278,6 @@ mod tests {
         .any(|f| f.rule == Rule::StageCoverage && f.message.contains("MediaRead")));
 }
 
-// ---------------------------------------------------------------- R7
-
-#[test]
-fn r7_two_hop_panic_reach_is_caught_with_full_chain() {
-    // The acceptance fixture: a seeded panic two calls away from the
-    // datapath entry point must be reported, with the whole path shown.
-    let src = "
-fn entry() { middle(); }
-fn middle() { leaf(); }
-fn leaf(x: Option<u32>) -> u32 { x.unwrap() }
-";
-    let findings = lint_sources([(SIM, src)]);
-    let reaches: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::PanicReach)
-        .collect();
-    // entry and middle reach; leaf itself is R3's finding, not R7's.
-    assert_eq!(reaches.len(), 2);
-    let entry = reaches
-        .iter()
-        .find(|f| f.message.contains("`entry`"))
-        .unwrap();
-    assert_eq!(entry.chain.len(), 4);
-    assert!(entry.chain[0].contains("fn entry"));
-    assert!(entry.chain[1].contains("fn middle"));
-    assert!(entry.chain[2].contains("fn leaf"));
-    assert!(entry.chain[3].contains(".unwrap()"));
-}
-
-#[test]
-fn r7_sanctioned_root_on_the_same_path_is_not_flagged() {
-    // Same shape, but the middle hop is a reviewed boundary: nothing above
-    // it is reported.
-    let src = "
-fn entry() { middle(); }
-// nvsim-lint: allow(panic-reach) — boundary: ids validated at entry
-fn middle() { leaf(); }
-fn leaf(x: Option<u32>) -> u32 { x.unwrap() }
-";
-    let findings = lint_sources([(SIM, src)]);
-    assert!(!findings.iter().any(|f| f.rule == Rule::PanicReach));
-}
-
-#[test]
-fn r7_call_graph_cycles_terminate_and_report() {
-    let src = "
-fn ping(n: u32) { if n > 0 { pong(n - 1) } }
-fn pong(n: u32) { ping(n); boom() }
-fn boom() { panic!(\"seeded\") }
-";
-    let findings = lint_sources([(SIM, src)]);
-    let reaches: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::PanicReach)
-        .collect();
-    assert_eq!(reaches.len(), 2, "ping and pong both reach boom");
-}
-
-#[test]
-fn r7_ambiguous_trait_dispatch_links_every_impl() {
-    // `.step()` cannot be resolved without types; the conservative graph
-    // must assume the panicking impl is reachable.
-    let src = "
-fn driver(x: &mut dyn Engine) { x.step(); }
-trait Engine { fn step(&mut self); }
-struct Safe;
-impl Engine for Safe { fn step(&mut self) {} }
-struct Risky;
-impl Engine for Risky { fn step(&mut self) { unreachable!() } }
-";
-    let findings = lint_sources([(SIM, src)]);
-    let driver: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::PanicReach && f.message.contains("`driver`"))
-        .collect();
-    assert_eq!(driver.len(), 1);
-    assert!(driver[0].chain.iter().any(|c| c.contains("Risky::step")));
-}
-
-#[test]
-fn r7_expect_completion_root_is_sanctioned_by_name() {
-    let src = "
-fn datapath(b: &mut Backend, d: u64) -> u64 {
-    let id = b.submit(d);
-    b.expect_completion(id)
-}
-impl Backend {
-    fn submit(&mut self, d: u64) -> u64 { d }
-    fn expect_completion(&mut self, id: u64) -> u64 {
-        // nvsim-lint: allow(panic-path) — documented bookkeeping panic
-        self.take(id).expect(\"in flight\")
-    }
-}
-";
-    let findings = lint_sources([(SIM, src)]);
-    assert!(!findings.iter().any(|f| f.rule == Rule::PanicReach));
-}
-
-#[test]
-fn r7_panic_only_reached_from_tests_is_clean() {
-    let src = "
-fn live() { shared(); }
-fn shared() {}
-#[cfg(test)]
-mod tests {
-    fn kaboom() { panic!(\"test-only\") }
-    #[test]
-    fn t() { kaboom(); }
-}
-";
-    let findings = lint_sources([(SIM, src)]);
-    assert!(!findings.iter().any(|f| f.rule == Rule::PanicReach));
-}
-
-#[test]
-fn r7_spans_files_across_the_workspace() {
-    let caller = "fn issue(q: &Queue) { q.push_back_checked(1); }\n";
-    let callee = "
-impl Queue {
-    fn push_back_checked(&self, v: u64) { if v > self.cap { panic!(\"overflow\") } }
-}
-";
-    let findings = lint_sources([
-        ("crates/vans/src/imc.rs", caller),
-        ("crates/vans/src/queue.rs", callee),
-    ]);
-    let reaches: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::PanicReach)
-        .collect();
-    assert_eq!(reaches.len(), 1);
-    assert_eq!(reaches[0].file, "crates/vans/src/imc.rs");
-    assert!(reaches[0]
-        .chain
-        .iter()
-        .any(|c| c.contains("crates/vans/src/queue.rs")));
-}
-
-// ---------------------------------------------------------------- R8
-
-#[test]
-fn r8_bare_unsafe_is_flagged() {
-    let src = "fn f(p: *const u64) -> u64 { unsafe { *p } }\n";
-    assert_eq!(rule_count(SIM, src, Rule::UnsafeUndocumented), 1);
-}
-
-#[test]
-fn r8_safety_comment_placements_sanction() {
-    // Same line, preceding line, and multi-line block comment ending on
-    // the preceding line all count.
-    let src = "
-fn a(p: *const u64) -> u64 {
-    // SAFETY: p is a slab-interior pointer, alive for &self's lifetime
-    unsafe { *p }
-}
-fn b(p: *const u64) -> u64 {
-    /* SAFETY: checked */ unsafe { *p }
-}
-fn c(p: *const u64) -> u64 {
-    /* SAFETY: the caller guarantees
-       alignment and liveness */
-    unsafe { *p }
-}
-";
-    assert_eq!(rule_count(SIM, src, Rule::UnsafeUndocumented), 0);
-}
-
-#[test]
-fn r8_safety_comment_two_lines_up_does_not_sanction() {
-    let src = "
-fn f(p: *const u64) -> u64 {
-    // SAFETY: too far away
-    let _gap = 1;
-    unsafe { *p }
-}
-";
-    assert_eq!(rule_count(SIM, src, Rule::UnsafeUndocumented), 1);
-}
-
-#[test]
-fn r8_applies_to_driver_code_but_not_tests() {
-    let src = "fn f(p: *const u64) -> u64 { unsafe { *p } }\n";
-    assert_eq!(
-        rule_count("crates/bench/src/runner.rs", src, Rule::UnsafeUndocumented),
-        1
-    );
-    let test_src = "
-#[cfg(test)]
-mod tests {
-    fn f(p: *const u64) -> u64 { unsafe { *p } }
-}
-";
-    assert_eq!(rule_count(SIM, test_src, Rule::UnsafeUndocumented), 0);
-}
-
 // ---------------------------------------------------------------- R9
 
 #[test]
@@ -580,98 +328,71 @@ fn r9_use_renames_are_not_casts() {
     assert_eq!(rule_count(SIM, src, Rule::CastTruncation), 0);
 }
 
-// ---------------------------------------------------------------- R10
-
-#[test]
-fn r10_sync_primitives_in_sim_crates_are_flagged() {
-    let src = "
-use std::sync::Mutex;
-use std::sync::atomic::AtomicU64;
-struct S { m: Mutex<u64>, c: AtomicU64 }
-";
-    assert_eq!(rule_count(SIM, src, Rule::SyncOnSimPath), 4);
-}
-
-#[test]
-fn r10_thread_spawn_is_flagged() {
-    let src = "fn f() { std::thread::spawn(|| {}); }\n";
-    assert_eq!(rule_count(SIM, src, Rule::SyncOnSimPath), 1);
-}
-
-#[test]
-fn r10_bench_runner_is_exempt() {
-    let src = "
-use std::sync::Mutex;
-fn pool() { std::thread::scope(|s| { let _ = s; }); }
-";
-    assert_eq!(
-        rule_count("crates/bench/src/runner.rs", src, Rule::SyncOnSimPath),
-        0
-    );
-}
-
-#[test]
-fn r10_prose_and_variable_names_are_clean() {
-    // `thread` only counts in path position (`thread::`), and comments or
-    // strings never count.
-    let src = "
-// One Mutex per worker would break determinism; see DESIGN.md.
-fn f() -> &'static str { let thread = 1; let _ = thread; \"AtomicU64\" }
-";
-    assert_eq!(rule_count(SIM, src, Rule::SyncOnSimPath), 0);
-}
-
 // ------------------------------------------------- serve classification
 
-#[test]
-fn serve_executor_is_driver_class() {
-    // The executor holds the workspace's one worker pool: sync
-    // primitives, wall clock and panics are legitimate there, but
-    // determinism (R1) and unsafe hygiene (R8) hold.
-    let exec = "crates/nvsim-serve/src/executor.rs";
-    let sync_src = "
-use std::sync::Mutex;
-fn pool() { std::thread::scope(|s| { let _ = s; }); }
+/// Lock-order cycle fixture: R12 runs on Driver-class files only.
+const LOCK_CYCLE: &str = "
+fn ab(a: &Mutex<u64>, b: &Mutex<u64>) {
+    let ga = a.lock().expect(\"a\");
+    let gb = b.lock().expect(\"b\");
+}
+fn ba(a: &Mutex<u64>, b: &Mutex<u64>) {
+    let gb = b.lock().expect(\"b\");
+    let ga = a.lock().expect(\"a\");
+}
 ";
-    assert_eq!(rule_count(exec, sync_src, Rule::SyncOnSimPath), 0);
-    assert_eq!(
-        rule_count(exec, "use std::collections::HashMap;\n", Rule::UnorderedMap),
-        1
-    );
-    assert_eq!(
-        rule_count(
-            exec,
-            "fn f(p: *const u64) -> u64 { unsafe { *p } }\n",
-            Rule::UnsafeUndocumented
-        ),
-        1
-    );
+
+#[test]
+fn serve_driver_files_keep_lock_order_but_not_simulation_rules() {
+    // The executor holds the workspace's one worker pool and the daemon
+    // its loops: narrowing stat casts are legitimate there, but their
+    // lock order is checked.
+    for file in [
+        "crates/nvsim-serve/src/executor.rs",
+        "crates/nvsim-serve/src/daemon.rs",
+        "src/bin/nvsim_served.rs",
+    ] {
+        assert_eq!(
+            rule_count(
+                file,
+                "fn f(n: u64) -> u32 { n as u32 }\n",
+                Rule::CastTruncation
+            ),
+            0,
+            "{file} must be driver-class for R9"
+        );
+        assert!(
+            rule_count(file, LOCK_CYCLE, Rule::LockOrder) > 0,
+            "{file} must be driver-class for R12"
+        );
+    }
 }
 
 #[test]
 fn rest_of_serve_crate_is_simulation_class() {
-    // Protocol, session, registry and server model service state
-    // deterministically: every simulator rule applies in full.
+    // Protocol, session, registry, server and the transport mux model
+    // service state deterministically: every simulator rule applies.
     for file in [
         "crates/nvsim-serve/src/protocol.rs",
         "crates/nvsim-serve/src/session.rs",
         "crates/nvsim-serve/src/registry.rs",
         "crates/nvsim-serve/src/server.rs",
+        "crates/nvsim-serve/src/transport.rs",
         "crates/nvsim-serve/src/lib.rs",
     ] {
         assert_eq!(
-            rule_count(file, "use std::sync::Mutex;\n", Rule::SyncOnSimPath),
-            1,
-            "{file} must be simulation-class for R10"
-        );
-        assert_eq!(
             rule_count(
                 file,
-                "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-                Rule::PanicPath
+                "fn f(n: u64) -> u32 { n as u32 }\n",
+                Rule::CastTruncation
             ),
             1,
-            "{file} must be simulation-class for R3"
+            "{file} must be simulation-class for R9"
+        );
+        assert_eq!(
+            rule_count(file, LOCK_CYCLE, Rule::LockOrder),
+            0,
+            "{file} must be simulation-class for R12"
         );
     }
 }
@@ -680,88 +401,10 @@ fn rest_of_serve_crate_is_simulation_class() {
 
 #[test]
 fn findings_are_sorted_and_positioned() {
-    let src = "use std::collections::HashMap;\nfn f(x: Option<u32>) { x.unwrap(); }\n";
+    let src = "fn g(n: u64) -> u16 {\n    let a = n as u8;\n    a as u16 + n as u16\n}\n";
     let findings = lint_sources([(SIM, src)]);
-    assert_eq!(findings.len(), 2);
-    assert_eq!(findings[0].line, 1);
-    assert_eq!(findings[0].col, 23);
-    assert_eq!(findings[1].line, 2);
-    let sorted = {
-        let mut s: Vec<u32> = findings.iter().map(|f| f.line).collect();
-        s.sort_unstable();
-        s
-    };
-    assert_eq!(sorted, vec![1, 2]);
-}
-
-// ------------------------------------------------- Snapshot impls (R3/R7)
-
-#[test]
-fn snapshot_restore_that_panics_is_flagged() {
-    // The checkpoint contract: `Snapshot::restore` returns a
-    // `SnapshotError` on malformed blobs, it never panics. A restore
-    // that unwraps is a seeded violation R3 must catch on sim paths.
-    let src = "
-impl Snapshot for Lsq {
-    fn save(&self, w: &mut SnapshotWriter) { w.put_u64(self.head); }
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.head = r.get_u64().unwrap();
-        Ok(())
-    }
-}
-";
-    assert_eq!(rule_count(SIM, src, Rule::PanicPath), 1);
-}
-
-#[test]
-fn snapshot_restore_reaching_a_panicking_helper_is_flagged() {
-    // R7's call graph: the panic hides one hop below restore.
-    let src = "
-impl Snapshot for Rmw {
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.slots = decode_slots(r);
-        Ok(())
-    }
-}
-fn decode_slots(r: &mut SnapshotReader<'_>) -> u64 {
-    r.get_u64().expect(\"slot count\")
-}
-";
-    let findings = lint_sources([(SIM, src)]);
-    let reaches: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::PanicReach && f.message.contains("Rmw::restore"))
-        .collect();
-    assert_eq!(
-        reaches.len(),
-        1,
-        "restore must be reported for transitively reaching the panic"
-    );
-    assert!(
-        reaches[0].chain.iter().any(|c| c.contains("decode_slots")),
-        "the evidence chain must walk through the panicking helper"
-    );
-}
-
-#[test]
-fn snapshot_restore_returning_errors_is_clean() {
-    // The idiomatic shape every in-tree Snapshot impl follows: propagate
-    // reader errors with `?`, validate counts, no panic anywhere.
-    let src = "
-impl Snapshot for Imc {
-    fn save(&self, w: &mut SnapshotWriter) { w.put_u64(self.next); }
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(r.invalid(\"count exceeds the blob\"));
-        }
-        self.next = r.get_u64()?;
-        Ok(())
-    }
-}
-";
-    assert_eq!(rule_count(SIM, src, Rule::PanicPath), 0);
-    assert_eq!(rule_count(SIM, src, Rule::PanicReach), 0);
+    let at: Vec<(u32, u32)> = findings.iter().map(|f| (f.line, f.col)).collect();
+    assert_eq!(at, [(2, 15), (3, 7), (3, 18)]);
 }
 
 // ---------------------------------------------------------------- R11
@@ -966,17 +609,7 @@ const DRIVER: &str = "crates/bench/src/fixture.rs";
 
 #[test]
 fn r12_two_lock_cycle_is_flagged_with_the_chain() {
-    let src = "
-fn ab(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let ga = a.lock().expect(\"a\");
-    let gb = b.lock().expect(\"b\");
-}
-fn ba(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let gb = b.lock().expect(\"b\");
-    let ga = a.lock().expect(\"a\");
-}
-";
-    let hits = lint_sources([(DRIVER, src)]);
+    let hits = lint_sources([(DRIVER, LOCK_CYCLE)]);
     let f = hits
         .iter()
         .find(|f| f.rule == Rule::LockOrder)
@@ -1376,7 +1009,8 @@ fn r18_allow_with_reason_suppresses() {
 fn transport_layer_files_classify_as_driver() {
     use nvsim_lint::rules::{classify, FileClass};
     // The executor and daemon may hold threads, sleep between polls and
-    // touch sockets — pin them Driver-class so R2/R10 do not fire.
+    // touch sockets — pin them Driver-class: R12 checks their locks, the
+    // simulation rules stay off.
     for rel in [
         "crates/nvsim-serve/src/executor.rs",
         "crates/nvsim-serve/src/daemon.rs",
@@ -1397,21 +1031,6 @@ fn transport_layer_files_classify_as_driver() {
     ] {
         assert_eq!(classify(rel), FileClass::Simulation, "{rel}");
     }
-}
-
-#[test]
-fn driver_class_transport_keeps_determinism_rules() {
-    // Threads and sleeps are the daemon's job ...
-    let daemon = "crates/nvsim-serve/src/daemon.rs";
-    let src = "fn f() { std::thread::sleep(std::time::Duration::from_millis(1)); }\n";
-    assert_eq!(rule_count(daemon, src, Rule::SyncOnSimPath), 0);
-    assert_eq!(rule_count(daemon, src, Rule::WallClock), 0);
-    // ... but iteration-order nondeterminism is still banned there.
-    let src = "use std::collections::HashMap;\n";
-    assert_eq!(rule_count(daemon, src, Rule::UnorderedMap), 1);
-    // And wall-clock inside the server would be a finding.
-    let src = "fn f() { let t = std::time::Instant::now(); }\n";
-    assert!(rule_count("crates/nvsim-serve/src/server.rs", src, Rule::WallClock) > 0);
 }
 
 // ------------------------------------------------------ dead allows
@@ -1458,15 +1077,13 @@ impl Conn {{
 }
 
 /// One live allow per rule family — token-level (R9), item-tree (R11),
-/// call graph (R7, the annotated boundary), lock graph (R12), protocol
-/// coverage (R14), unit domains resolved at aggregation (R15) and
-/// per-file (R17): with its allow a source shows no finding of the rule
-/// and no annotation finding, and without it the rule fires. (The R7
-/// source keeps its leaf's `panic-path` finding: a sanctioned site would
-/// seed no reach, leaving the boundary nothing to absorb.)
+/// lock graph (R12), protocol coverage (R14), unit domains resolved at
+/// aggregation (R15) and per-file (R17): with its allow a source shows no
+/// finding of the rule and no annotation finding, and without it the
+/// rule fires.
 #[test]
 fn live_allow_of_each_rule_family_is_clean() {
-    let cases: [(&str, Rule, &str); 7] = [
+    let cases: [(&str, Rule, &str); 6] = [
         (
             SIM,
             Rule::CastTruncation,
@@ -1491,15 +1108,6 @@ impl Snapshot for S {
         Ok(())
     }
 }
-",
-        ),
-        (
-            SIM,
-            Rule::PanicReach,
-            "fn entry() { middle(); }
-// nvsim-lint: allow(panic-reach) — boundary: ids validated at entry
-fn middle() { leaf(); }
-fn leaf(x: Option<u32>) -> u32 { x.unwrap() }
 ",
         ),
         (
@@ -1560,13 +1168,14 @@ fn ba(a: &Mutex<u64>, b: &Mutex<u64>) {
     }
 }
 
-/// A boundary that reaches no panic, and an allow of `bad-annotation`
-/// itself (annotation findings are never suppressible), suppress nothing.
+/// An allow above code its rule never flags, and an allow of
+/// `bad-annotation` itself (annotation findings are never suppressible),
+/// suppress nothing.
 #[test]
-fn boundary_without_a_reach_and_bad_annotation_allows_are_dead() {
+fn allow_without_a_finding_and_bad_annotation_allows_are_dead() {
     let src = "
-// nvsim-lint: allow(panic-reach) — nothing below can panic
-fn calm() -> u32 { 1 }
+// nvsim-lint: allow(cast-truncation) — nothing below narrows
+fn calm(n: u32) -> u64 { n as u64 }
 // nvsim-lint: allow(bad-annotation) — fixture: cannot be silenced
 fn other() {}
 ";

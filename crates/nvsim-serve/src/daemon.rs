@@ -46,6 +46,10 @@ use crate::transport::{
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+#[expect(
+    clippy::disallowed_types,
+    reason = "Driver-class: the shutdown flag is set from a signal handler"
+)]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -130,12 +134,20 @@ impl IdleWait {
 /// The execution side of the pipeline: a thread that owns the server,
 /// executes cycles sent to it, and parks every session when the channel
 /// closes.
+#[expect(
+    clippy::disallowed_types,
+    reason = "Driver-class: channels to and from the execution thread"
+)]
 struct ExecThread {
     cycle_tx: mpsc::Sender<FlushCycle>,
     done_rx: mpsc::Receiver<CompletedCycle>,
     handle: thread::JoinHandle<usize>,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "Driver-class: the execution thread and its channels"
+)]
 fn spawn_exec(mut server: Server) -> ExecThread {
     let (cycle_tx, cycle_rx) = mpsc::channel::<FlushCycle>();
     let (done_tx, done_rx) = mpsc::channel::<CompletedCycle>();
@@ -186,6 +198,11 @@ fn pump_output(mux: &mut TransportMux, id: ConnId, stream: &mut TcpStream) -> io
 ///
 /// Only loop-fatal I/O errors (the listener breaking, the execution
 /// thread dying); per-connection errors tear down that connection only.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "Driver-class: the loop polls the shutdown flag and sleeps between idle passes"
+)]
 pub fn serve_listener(
     listener: TcpListener,
     server: Server,
@@ -408,6 +425,10 @@ pub fn serve_listener(
 /// # Errors
 ///
 /// Bind failures and loop-fatal I/O errors.
+#[expect(
+    clippy::disallowed_types,
+    reason = "Driver-class: passes the shutdown flag to the loop"
+)]
 pub fn serve_addr(
     addr: impl ToSocketAddrs,
     server: Server,
@@ -495,6 +516,10 @@ pub fn client_round_trip(addr: impl ToSocketAddrs, script: &[u8]) -> io::Result<
 
 /// A shutdown flag wired for signal handlers: the daemon polls it, the
 /// binary's SIGTERM/SIGINT handler stores `true`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "Driver-class: the flag a signal handler sets"
+)]
 pub fn shutdown_flag() -> Arc<AtomicBool> {
     Arc::new(AtomicBool::new(false))
 }

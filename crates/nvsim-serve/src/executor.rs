@@ -4,14 +4,14 @@
 //! [`run_indexed`] schedules both the figure runner's experiments and
 //! sweep points (`nvsim_bench::runner`) and the server's per-session
 //! units ([`crate::session::SessionUnit`]). It is Driver-class code
-//! (nvsim-lint allows threads and locks here), and it is the **only**
-//! file in the serve crate where synchronization primitives are allowed;
-//! the session simulation paths in `session.rs` / `registry.rs` /
-//! `server.rs` stay lock-free and Simulation-class. The split keeps the
-//! determinism argument local: threads only decide *which worker* runs
-//! an item, never what the item computes, and results come back in input
-//! order, so figure CSVs and response streams are byte-identical at any
-//! worker count.
+//! (its threads and locks carry reasoned clippy `#[expect]`s), and it
+//! is the **only** file in the serve crate where synchronization
+//! primitives are allowed; the session simulation paths in `session.rs`
+//! / `registry.rs` / `server.rs` stay lock-free and Simulation-class.
+//! The split keeps the determinism argument local: threads only decide
+//! *which worker* runs an item, never what the item computes, and
+//! results come back in input order, so figure CSVs and response streams
+//! are byte-identical at any worker count.
 //!
 //! Scheduling: items are sorted by descending cost (stable, so equal-cost
 //! items keep input order) behind one shared cursor, and every worker
@@ -20,6 +20,10 @@
 
 use std::io;
 use std::panic;
+#[expect(
+    clippy::disallowed_types,
+    reason = "Driver-class: the pool and the trace buffer are shared across workers"
+)]
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -29,6 +33,10 @@ use std::thread;
 /// session is only ever driven by one worker at a time — it exists so
 /// the buffer can cross thread boundaries with the session.
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "Driver-class: the buffer crosses threads with its session"
+)]
 pub struct TraceShared(Arc<Mutex<Vec<u8>>>);
 
 impl TraceShared {
@@ -53,6 +61,10 @@ impl TraceShared {
 
 /// The write half of a [`TraceShared`] buffer.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "Driver-class: the buffer crosses threads with its session"
+)]
 pub struct TraceWriter(Arc<Mutex<Vec<u8>>>);
 
 impl io::Write for TraceWriter {
@@ -76,6 +88,13 @@ impl io::Write for TraceWriter {
 /// worker count is clamped to `1..=max(1, items.len())`; with one worker
 /// the items run inline on the calling thread, in that same order, and
 /// no thread is spawned. A panic in `f` is re-raised on the caller.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    reason = "Driver-class: scoped workers share one locked cursor, which is never \
+              held across `f` and so is never poisoned"
+)]
 pub fn run_indexed<T, R, C, F>(items: Vec<T>, cost: C, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -115,6 +134,11 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "test code: counters and channels observe the pool's workers"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -387,9 +387,11 @@ pub trait MemoryBackend: Send {
     fn expect_completion(&mut self, id: ReqId) -> Time {
         match self.try_take_completion(id) {
             Ok(t) => t,
-            // nvsim-lint: allow(panic-path) — the single documented logic-bug
-            // panic backing every infallible completion take; callers that can
-            // miss must use try_take_completion.
+            #[expect(
+                clippy::panic,
+                reason = "the single documented logic-bug panic backing every infallible \
+                          completion take; callers that can miss must use try_take_completion"
+            )]
             Err(e) => panic!("expect_completion: {e}"),
         }
     }

@@ -629,8 +629,11 @@ impl<W: io::Write + fmt::Debug + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, trace: &RequestTrace) {
         // IO errors can't propagate through the hot path; fail loudly
         // rather than silently truncating an analysis artifact.
-        // nvsim-lint: allow(panic-path) — diagnostics-only sink; an IO error
-        // here must abort rather than silently truncate the artifact.
+        #[expect(
+            clippy::expect_used,
+            reason = "diagnostics-only sink; an IO error here must abort rather than \
+                      silently truncate the artifact"
+        )]
         writeln!(self.out, "{}", trace.to_jsonl()).expect("trace JSONL write failed");
         self.lines += 1;
     }
@@ -648,8 +651,11 @@ impl<W: io::Write + fmt::Debug + Send> TraceSink for JsonlSink<W> {
             event.seq,
             event.insertion
         );
-        // nvsim-lint: allow(panic-path) — diagnostics-only sink; an IO error
-        // here must abort rather than silently truncate the artifact.
+        #[expect(
+            clippy::expect_used,
+            reason = "diagnostics-only sink; an IO error here must abort rather than \
+                      silently truncate the artifact"
+        )]
         writeln!(self.out, "{row}").expect("persist JSONL write failed");
         self.lines += 1;
     }

@@ -725,6 +725,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test-only tallies; the assertions never depend on iteration order"
+    )]
     fn ycsb_concentrates_writes_on_ten_lines() {
         let mut w = Ycsb::new(1);
         let trace = w.generate(500_000);

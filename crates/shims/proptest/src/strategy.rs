@@ -1,5 +1,11 @@
 //! Value-generation strategies.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "mirrors proptest's `hash_set` strategy, which yields a HashSet; test-support \
+              code, never on a simulation path"
+)]
+
 use crate::test_runner::TestRng;
 use std::collections::HashSet;
 use std::hash::Hash;

@@ -6,8 +6,11 @@
 //! owns the granularity conventions.
 
 use nvsim_types::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-// nvsim-lint: allow(unordered-map) — key→slot index only; LRU order (the
-// only order ever observed) lives in the intrusive slab list below.
+#[expect(
+    clippy::disallowed_types,
+    reason = "key→slot index only; LRU order (the only order ever observed) lives in \
+              the intrusive slab list below"
+)]
 use std::collections::hash_map::{HashMap, RandomState};
 use std::hash::{BuildHasher, Hasher};
 
@@ -86,9 +89,12 @@ impl Hasher for FoldHash {
 }
 
 /// Key → slot index of an [`LruBuffer`].
-// nvsim-lint: allow(unordered-map) — never iterated: `keys()` and eviction
-// walk the intrusive list in deterministic MRU→LRU order instead, so the
-// per-buffer hash secret never reaches simulated output.
+#[expect(
+    clippy::disallowed_types,
+    reason = "never iterated: `keys()` and eviction walk the intrusive list in \
+              deterministic MRU→LRU order instead, so the per-buffer hash secret never \
+              reaches simulated output"
+)]
 type Index = HashMap<u64, u32, FoldHash>;
 
 #[derive(Debug, Clone, Copy)]
@@ -145,6 +151,13 @@ pub struct LruBuffer {
     tail: u32,
     hits: u64,
     misses: u64,
+    /// Index inserts since `new` or the index's last `clear`.
+    // nvsim-lint: allow(snapshot-field-coverage) — allocation bookkeeping that never reaches simulated state; restore clears the index and recounts.
+    index_inserts: usize,
+    /// The room `new` gave the index, until `index_insert` grows it;
+    /// `usize::MAX` after.
+    // nvsim-lint: allow(snapshot-field-coverage) — allocation bookkeeping that never reaches simulated state; a restored buffer grows its index by the same rule.
+    index_room: usize,
 }
 
 impl LruBuffer {
@@ -159,9 +172,12 @@ impl LruBuffer {
             (capacity as u64) < u64::from(u32::MAX),
             "capacity too large"
         );
+        let index = Index::with_capacity_and_hasher(capacity + 1, FoldHash::keyed());
         LruBuffer {
             capacity,
-            index: Index::with_capacity_and_hasher(capacity + 1, FoldHash::keyed()),
+            index_inserts: 0,
+            index_room: index.capacity(),
+            index,
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -235,6 +251,27 @@ impl LruBuffer {
         }
     }
 
+    /// Maps `key` to `slot`, growing the index once, at a point set by
+    /// the operations alone.
+    ///
+    /// Removals leave tombstones where the per-buffer secret hashed the
+    /// keys, and hashbrown grows a table whose tombstones use up its room;
+    /// left to that, the growth would come at a different access in every
+    /// run, and the freed table would move the allocator's thresholds and
+    /// the process's resident memory with it. No table can run out of
+    /// room before as many inserts since its last `clear` as it has room,
+    /// so the index is grown at that insert instead, to at least twice
+    /// the most keys ever resident: from then on, hashbrown cleans out
+    /// tombstones in place.
+    fn index_insert(&mut self, key: u64, slot: u32) {
+        self.index_inserts += 1;
+        if self.index_inserts == self.index_room {
+            self.index.reserve(self.index_room + 1 - self.index.len());
+            self.index_room = usize::MAX;
+        }
+        self.index.insert(key, slot);
+    }
+
     /// Accesses `key`, inserting it if absent; `write` marks it dirty.
     /// Returns the hit/miss outcome and, on insertion into a full buffer,
     /// the evicted victim.
@@ -259,7 +296,7 @@ impl LruBuffer {
             let n = &mut self.slab[victim as usize];
             n.key = key;
             n.dirty = write;
-            self.index.insert(key, victim);
+            self.index_insert(key, victim);
             self.push_front(victim);
             return (
                 Lookup::Miss,
@@ -287,7 +324,7 @@ impl LruBuffer {
                 s
             }
         };
-        self.index.insert(key, slot);
+        self.index_insert(key, slot);
         self.push_front(slot);
         (Lookup::Miss, None)
     }
@@ -347,6 +384,7 @@ impl LruBuffer {
             slot = n.next;
         }
         self.index.clear();
+        self.index_inserts = 0;
         self.slab.clear();
         self.free.clear();
         self.head = NIL;
@@ -412,6 +450,7 @@ impl Snapshot for LruBuffer {
             entries.push((r.get_u64()?, r.get_bool()?));
         }
         self.index.clear();
+        self.index_inserts = 0;
         self.slab.clear();
         self.free.clear();
         self.head = NIL;
@@ -588,6 +627,40 @@ mod tests {
             b.touch(k, k % 2 == 0);
             assert!(b.len() <= 8);
         }
+    }
+
+    #[test]
+    fn index_grows_at_the_same_access_whatever_the_secret() {
+        // Eight buffers that differ only in their hash secrets, so their
+        // tombstones fall differently. Each index's room once cleared (its
+        // allocation) must change at the same access in all of them, and
+        // only once.
+        let mut bufs: Vec<LruBuffer> = (0..8).map(|_| LruBuffer::new(64)).collect();
+        let room = |b: &LruBuffer| {
+            let mut index = b.index.clone();
+            index.clear();
+            index.capacity()
+        };
+        let mut rooms = vec![room(&bufs[0])];
+        let mut rng = nvsim_types::DetRng::seed_from(0xc0de);
+        for i in 0..20_000u64 {
+            let key = rng.range_u64(0, 1 << 20);
+            for b in &mut bufs {
+                b.touch(key, false);
+                if i % 5 == 0 {
+                    b.invalidate(key);
+                }
+            }
+            let now: Vec<usize> = bufs.iter().map(room).collect();
+            assert!(
+                now.iter().all(|&r| r == now[0]),
+                "access {i}: rooms {now:?}"
+            );
+            if rooms.last() != Some(&now[0]) {
+                rooms.push(now[0]);
+            }
+        }
+        assert_eq!(rooms.len(), 2, "rooms over the run: {rooms:?}");
     }
 
     #[test]

@@ -16,9 +16,12 @@ use nvsim_types::{
     Addr, BackendCounters, BackendError, ConfigError, MemOp, MemoryBackend, ReqId, RequestDesc,
     SessionOptions, Time, CACHE_LINE,
 };
-// nvsim-lint: allow(unordered-map) — the tag array is key-indexed only
-// (get/insert by set index, never iterated), so iteration order is never
-// observed; a hash map keeps the potentially multi-million-entry array O(1).
+#[expect(
+    clippy::disallowed_types,
+    reason = "the tag array is key-indexed only (get/insert by set index, never \
+              iterated), so iteration order is never observed; a hash map keeps the \
+              potentially multi-million-entry array O(1)"
+)]
 use std::collections::HashMap;
 
 /// Statistics of the near-memory cache.
@@ -53,7 +56,10 @@ pub struct MemoryModeSystem {
     nvram: MemorySystem,
     dram: DramModel,
     /// Direct-mapped tag array: set index → (tag, dirty).
-    // nvsim-lint: allow(unordered-map) — lookup-only by set index, never iterated.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only by set index, never iterated"
+    )]
     tags: HashMap<u64, (u64, bool)>,
     /// Number of cache sets (DRAM capacity / 64 B).
     sets: u64,
@@ -82,7 +88,7 @@ impl MemoryModeSystem {
         Ok(MemoryModeSystem {
             nvram,
             dram,
-            // nvsim-lint: allow(unordered-map) — see field docs: never iterated.
+            #[expect(clippy::disallowed_types, reason = "see field docs: never iterated")]
             tags: HashMap::new(),
             sets,
             pending: Vec::new(),

@@ -717,6 +717,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test-only membership set, never iterated"
+    )]
     fn routing_is_injective_per_dimm() {
         let s = MemorySystem::new(VansConfig::optane_6dimm()).unwrap();
         let mut seen = std::collections::HashSet::new();
@@ -778,6 +782,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::unreachable,
+        reason = "test-only: the loop returns on its second pass"
+    )]
     fn pointer_chase_read_plateaus() {
         // The headline behaviour: reads get slower as the region grows
         // past each buffer capacity.

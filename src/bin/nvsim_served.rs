@@ -18,16 +18,30 @@
 //! sends the canonical smoke script the CI determinism job compares
 //! across worker counts.
 
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use nvsim::backends::build_server;
 use nvsim::serve::{daemon, scripts, ServerConfig, TransportConfig};
 use std::io::{self, Write};
 use std::process::ExitCode;
+#[expect(
+    clippy::disallowed_types,
+    reason = "Driver-class: the shutdown flag is set from a signal handler"
+)]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The daemon's shutdown flag, shared with the signal handler. Signal
 /// handlers get no closure context, so this one global is the bridge;
 /// it is only ever stored from the handler and loaded from the loop.
+#[expect(
+    clippy::disallowed_types,
+    reason = "Driver-class: the flag a signal handler sets"
+)]
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_signal(_sig: i32) {
@@ -175,6 +189,11 @@ fn run_client(args: &Args) -> io::Result<()> {
     io::stdout().flush()
 }
 
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "Driver-class: a watcher thread mirrors the signal flag into the loop's flag"
+)]
 fn run_daemon(args: &Args) -> io::Result<()> {
     install_signal_handlers();
     // The daemon loop polls an Arc'd flag; mirror the static into it so

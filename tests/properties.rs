@@ -2,6 +2,11 @@
 //! monotonicity, routing bijectivity, buffer bounds, wear-tracker
 //! behaviour, and checker soundness under random traffic.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "test code: membership sets only, never iterated"
+)]
+
 use nvsim::dram::{DramConfig, DramModel, ProtocolChecker};
 use nvsim::media::{MediaAddr, MediaConfig, WearConfig, WearTracker, XpointMedia};
 use nvsim::prelude::*;

@@ -5,6 +5,11 @@
 //! mid-flight cut with non-empty WPQ/RMW/AIT-migration state; and old
 //! or corrupt blobs must fail with a clean error, never garbage state.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "test code: a shared buffer lets the test read what a boxed sink wrote"
+)]
+
 use nvsim::backends::build_backend;
 use nvsim::prelude::*;
 use nvsim::types::snapshot::{restore_blob, save_blob, SnapshotErrorKind, MAGIC, VERSION};

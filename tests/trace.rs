@@ -3,6 +3,11 @@
 //! dump, and the per-plateau attribution the paper's Fig 9a discussion
 //! implies.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "test code: a shared buffer lets the test read what a boxed sink wrote"
+)]
+
 use lens::microbench::{PtrChaseMode, PtrChasing};
 use lens::plateau_stage_breakdowns;
 use nvsim::prelude::*;

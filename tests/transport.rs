@@ -5,6 +5,12 @@
 //! half-apply, and must hand every surviving connection response bytes
 //! identical to an in-process `run_script` oracle at any worker count.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "test code: the suite drives a real daemon from client threads"
+)]
+
 use nvsim::backends::build_server;
 use nvsim::serve::protocol::{write_frame, Command, FrameDecoder};
 use nvsim::serve::scripts::{connection_script, encode, open_cmd, smoke_script};
