@@ -344,9 +344,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn large_workload_trace_round_trips() {
-        // A realistic mixed trace from the generator vocabulary.
+    /// A realistic mixed trace from the generator vocabulary.
+    fn mixed() -> Vec<TraceOp> {
         let mut trace = Vec::new();
         for i in 0..5_000u64 {
             trace.push(TraceOp::compute((i % 50) as u32 + 1));
@@ -358,7 +357,34 @@ mod tests {
                 trace.push(TraceOp::Fence);
             }
         }
+        trace
+    }
+
+    #[test]
+    fn large_workload_trace_round_trips() {
+        let trace = mixed();
         let bytes = encode(&trace);
         assert_eq!(decode(&bytes).unwrap(), trace);
+    }
+
+    /// FNV-1a 64 of a byte string.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The container bytes are a format: a trace written by one build
+    /// must decode under the next, so the encodings are pinned as
+    /// `(length, FNV-1a 64)`.
+    #[test]
+    fn golden_encodings() {
+        for (name, trace, golden) in [
+            ("sample", sample(), (35, 0xd534_76b8_a87b_1b24)),
+            ("mixed", mixed(), (30_684, 0xf432_a755_4be8_73c0)),
+        ] {
+            let bytes = encode(&trace);
+            assert_eq!((bytes.len(), fnv1a64(&bytes)), golden, "{name}");
+        }
     }
 }
