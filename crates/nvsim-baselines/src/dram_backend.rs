@@ -57,12 +57,6 @@ impl DramBackend {
         })
     }
 
-    /// Overrides the fixed controller latency.
-    pub fn with_controller_latency(mut self, latency: Time) -> Self {
-        self.controller_latency = latency;
-        self
-    }
-
     /// Access to the inner DRAM model (e.g. for command traces).
     pub fn dram(&self) -> &DramModel {
         &self.dram

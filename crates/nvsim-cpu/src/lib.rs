@@ -48,6 +48,8 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::undocumented_unsafe_blocks,
+    clippy::borrow_as_ptr,
+    clippy::ref_as_ptr,
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]

@@ -5,10 +5,13 @@
 //! provides the trace container: a compact binary encoding of
 //! [`TraceOp`] streams (tag byte + LEB128 varints, delta-coded
 //! addresses), so multi-million-op workload traces can be written to
-//! disk and replayed deterministically.
+//! disk and replayed deterministically. The varints are those of
+//! [`nvsim_types::snapshot`], the codec checkpoints and the wire protocol
+//! use.
 
 use crate::trace::TraceOp;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use nvsim_types::snapshot::{SnapshotError, SnapshotErrorKind, SnapshotReader, SnapshotWriter};
 use nvsim_types::VirtAddr;
 use std::fmt;
 
@@ -44,58 +47,11 @@ const TAG_FENCE: u8 = 7;
 /// Magic header: "NVTR" + version 1.
 const MAGIC: &[u8; 5] = b"NVTR\x01";
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        // nvsim-lint: allow(cast-truncation) — value is masked to 7 bits
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &mut Bytes, offset: &mut usize) -> Result<u64, TraceDecodeError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(TraceDecodeError {
-                offset: *offset,
-                reason: "truncated varint",
-            });
-        }
-        let byte = buf.get_u8();
-        *offset += 1;
-        if shift >= 64 {
-            return Err(TraceDecodeError {
-                offset: *offset,
-                reason: "varint overflow",
-            });
-        }
-        v |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Zig-zag encoding for signed address deltas.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 /// Encodes a trace into the binary container format.
 ///
 /// Addresses are delta-coded against the previous memory op's address,
-/// which makes sequential and strided traces extremely compact.
+/// which makes sequential and strided traces extremely compact. Deltas
+/// wrap modulo 2^64, so any address follows any other.
 ///
 /// # Example
 ///
@@ -115,15 +71,22 @@ fn unzigzag(v: u64) -> i64 {
 /// # Ok::<(), nvsim_cpu::trace_io::TraceDecodeError>(())
 /// ```
 pub fn encode(trace: &[TraceOp]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(trace.len() * 3 + 8);
-    buf.put_slice(MAGIC);
-    put_varint(&mut buf, trace.len() as u64);
+    let mut w = SnapshotWriter::new();
+    for &b in MAGIC {
+        w.put_u8(b);
+    }
+    w.put_usize(trace.len());
     let mut prev_addr: u64 = 0;
     for op in trace {
-        match *op {
+        let (tag, vaddr) = match *op {
             TraceOp::Compute { n } => {
-                buf.put_u8(TAG_COMPUTE);
-                put_varint(&mut buf, n as u64);
+                w.put_u8(TAG_COMPUTE);
+                w.put_u32(n);
+                continue;
+            }
+            TraceOp::Fence => {
+                w.put_u8(TAG_FENCE);
+                continue;
             }
             TraceOp::Load {
                 vaddr,
@@ -135,112 +98,101 @@ pub fn encode(trace: &[TraceOp]) -> Bytes {
                     (true, false) => TAG_CHASE,
                     (true, true) => TAG_CHASE_MKPT,
                 };
-                buf.put_u8(tag);
-                put_varint(&mut buf, zigzag(vaddr.raw() as i64 - prev_addr as i64));
-                prev_addr = vaddr.raw();
+                (tag, vaddr)
             }
             TraceOp::Store {
                 vaddr,
                 non_temporal,
-            } => {
-                buf.put_u8(if non_temporal {
+            } => (
+                if non_temporal {
                     TAG_NT_STORE
                 } else {
                     TAG_STORE
-                });
-                put_varint(&mut buf, zigzag(vaddr.raw() as i64 - prev_addr as i64));
-                prev_addr = vaddr.raw();
-            }
-            TraceOp::Clwb { vaddr } => {
-                buf.put_u8(TAG_CLWB);
-                put_varint(&mut buf, zigzag(vaddr.raw() as i64 - prev_addr as i64));
-                prev_addr = vaddr.raw();
-            }
-            TraceOp::Fence => buf.put_u8(TAG_FENCE),
-        }
+                },
+                vaddr,
+            ),
+            TraceOp::Clwb { vaddr } => (TAG_CLWB, vaddr),
+        };
+        w.put_u8(tag);
+        // The wrapped difference, read as two's complement: the shortest
+        // zigzag varint for a step in either direction.
+        w.put_i64(vaddr.raw().wrapping_sub(prev_addr) as i64);
+        prev_addr = vaddr.raw();
     }
-    buf.freeze()
+    Bytes::from(w.into_bytes())
 }
 
 /// Decodes a binary trace container.
 ///
 /// # Errors
 ///
-/// Returns a [`TraceDecodeError`] on bad magic, truncation, or unknown
-/// tags.
+/// Returns a [`TraceDecodeError`] on bad magic, truncation, an
+/// over-long varint, or unknown tags.
 pub fn decode(data: &[u8]) -> Result<Vec<TraceOp>, TraceDecodeError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    let mut offset = 0usize;
-    if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
+    let Some(ops) = data.strip_prefix(MAGIC.as_slice()) else {
         return Err(TraceDecodeError {
             offset: 0,
             reason: "bad magic or unsupported version",
         });
-    }
-    offset += MAGIC.len();
-    let count = get_varint(&mut buf, &mut offset)? as usize;
+    };
+    decode_ops(&mut SnapshotReader::new(ops)).map_err(|e| TraceDecodeError {
+        offset: MAGIC.len() + e.offset,
+        reason: match e.kind {
+            SnapshotErrorKind::VarintOverflow => "varint overflow",
+            SnapshotErrorKind::Invalid(reason) => reason,
+            // Past those two, the reader's varints fail only by running
+            // off the end.
+            _ => "truncated varint",
+        },
+    })
+}
+
+/// The op count and ops that follow the magic header.
+fn decode_ops(r: &mut SnapshotReader<'_>) -> Result<Vec<TraceOp>, SnapshotError> {
+    let count = r.get_usize()?;
     let mut out = Vec::with_capacity(count.min(1 << 24));
     let mut prev_addr: u64 = 0;
     for _ in 0..count {
-        if !buf.has_remaining() {
-            return Err(TraceDecodeError {
-                offset,
-                reason: "truncated op stream",
-            });
-        }
-        let tag = buf.get_u8();
-        offset += 1;
-        let addr = |buf: &mut Bytes,
-                    offset: &mut usize,
-                    prev: &mut u64|
-         -> Result<VirtAddr, TraceDecodeError> {
-            let delta = unzigzag(get_varint(buf, offset)?);
-            let a = (*prev as i64 + delta) as u64;
-            *prev = a;
-            Ok(VirtAddr::new(a))
+        let tag = r
+            .get_u8()
+            .map_err(|e| SnapshotError::invalid(e.offset, "truncated op stream"))?;
+        let mut addr = |r: &mut SnapshotReader<'_>| -> Result<VirtAddr, SnapshotError> {
+            prev_addr = prev_addr.wrapping_add(r.get_i64()? as u64);
+            Ok(VirtAddr::new(prev_addr))
         };
         let op = match tag {
-            TAG_COMPUTE => TraceOp::Compute {
-                n: u32::try_from(get_varint(&mut buf, &mut offset)?).map_err(|_| {
-                    TraceDecodeError {
-                        offset,
-                        reason: "compute count exceeds u32",
-                    }
-                })?,
-            },
+            TAG_COMPUTE => {
+                let n = r.get_u64()?;
+                TraceOp::Compute {
+                    n: u32::try_from(n).map_err(|_| r.invalid("compute count exceeds u32"))?,
+                }
+            }
             TAG_LOAD => TraceOp::Load {
-                vaddr: addr(&mut buf, &mut offset, &mut prev_addr)?,
+                vaddr: addr(r)?,
                 dependent: false,
                 mkpt: false,
             },
             TAG_CHASE => TraceOp::Load {
-                vaddr: addr(&mut buf, &mut offset, &mut prev_addr)?,
+                vaddr: addr(r)?,
                 dependent: true,
                 mkpt: false,
             },
             TAG_CHASE_MKPT => TraceOp::Load {
-                vaddr: addr(&mut buf, &mut offset, &mut prev_addr)?,
+                vaddr: addr(r)?,
                 dependent: true,
                 mkpt: true,
             },
             TAG_STORE => TraceOp::Store {
-                vaddr: addr(&mut buf, &mut offset, &mut prev_addr)?,
+                vaddr: addr(r)?,
                 non_temporal: false,
             },
             TAG_NT_STORE => TraceOp::Store {
-                vaddr: addr(&mut buf, &mut offset, &mut prev_addr)?,
+                vaddr: addr(r)?,
                 non_temporal: true,
             },
-            TAG_CLWB => TraceOp::Clwb {
-                vaddr: addr(&mut buf, &mut offset, &mut prev_addr)?,
-            },
+            TAG_CLWB => TraceOp::Clwb { vaddr: addr(r)? },
             TAG_FENCE => TraceOp::Fence,
-            _ => {
-                return Err(TraceDecodeError {
-                    offset,
-                    reason: "unknown op tag",
-                })
-            }
+            _ => return Err(r.invalid("unknown op tag")),
         };
         out.push(op);
     }
@@ -337,11 +289,32 @@ mod tests {
         assert_eq!(err.reason, "compute count exceeds u32");
     }
 
+    /// Regression: address deltas used to be taken in `i64`, so a step
+    /// of 2^63 or more overflowed (a panic in debug builds).
     #[test]
-    fn zigzag_round_trips() {
-        for v in [-1i64, 0, 1, i64::MIN / 2, i64::MAX / 2, -123456789] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
+    fn deltas_wrap_across_the_whole_address_space() {
+        let trace = vec![
+            TraceOp::load(VirtAddr::new(1 << 63)),
+            TraceOp::load(VirtAddr::new(0)),
+            TraceOp::store(VirtAddr::new(u64::MAX)),
+            TraceOp::Clwb {
+                vaddr: VirtAddr::new(1),
+            },
+        ];
+        assert_eq!(decode(&encode(&trace)).unwrap(), trace);
+    }
+
+    /// Regression: the tenth byte of a varint may carry only bit 63; the
+    /// old reader dropped the other bits of a `0x7f` there and decoded a
+    /// load at 2^62.
+    #[test]
+    fn varint_past_64_bits_is_rejected() {
+        let mut raw = MAGIC.to_vec();
+        raw.extend([1, TAG_LOAD]);
+        raw.extend([0x80; 9]);
+        raw.push(0x7f);
+        let err = decode(&raw).unwrap_err();
+        assert_eq!((err.offset, err.reason), (raw.len(), "varint overflow"));
     }
 
     /// A realistic mixed trace from the generator vocabulary.

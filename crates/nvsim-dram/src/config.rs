@@ -133,16 +133,6 @@ impl DramTimings {
     }
 }
 
-/// Request scheduling policy for the channel scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SchedulerPolicy {
-    /// First-come-first-serve, strictly in arrival order.
-    #[default]
-    Fcfs,
-    /// First-ready FCFS: row-buffer hits are served before older misses.
-    FrFcfs,
-}
-
 /// A complete DRAM model configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DramConfig {
@@ -154,8 +144,6 @@ pub struct DramConfig {
     pub timings: DramTimings,
     /// I/O clock frequency in MHz (data rate; e.g. 2666 for DDR4-2666).
     pub data_rate_mhz: u64,
-    /// Scheduling policy.
-    pub scheduler: SchedulerPolicy,
     /// Whether to record a command trace (needed by the protocol checker).
     pub record_commands: bool,
     /// Whether to simulate periodic refresh.
@@ -217,7 +205,6 @@ impl DramConfig {
                 burst_cycles: BURST_CYCLES,
             },
             data_rate_mhz: 2666,
-            scheduler: SchedulerPolicy::FrFcfs,
             record_commands: false,
             refresh_enabled: true,
         }
@@ -271,7 +258,6 @@ impl DramConfig {
                 burst_cycles: BURST_CYCLES,
             },
             data_rate_mhz: 1333,
-            scheduler: SchedulerPolicy::FrFcfs,
             record_commands: false,
             refresh_enabled: true,
         }
@@ -315,7 +301,6 @@ impl DramConfig {
                 burst_cycles: BURST_CYCLES,
             },
             data_rate_mhz: 2666,
-            scheduler: SchedulerPolicy::FrFcfs,
             record_commands: false,
             refresh_enabled: false,
         }

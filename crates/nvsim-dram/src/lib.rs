@@ -37,6 +37,8 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::undocumented_unsafe_blocks,
+    clippy::borrow_as_ptr,
+    clippy::ref_as_ptr,
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]
@@ -50,6 +52,6 @@ pub mod model;
 
 pub use checker::{ProtocolChecker, Violation};
 pub use command::{CommandKind, CommandRecord};
-pub use config::{DramConfig, DramOrganization, DramTimings, SchedulerPolicy};
+pub use config::{DramConfig, DramOrganization, DramTimings};
 pub use mapping::{AddressMapping, DecodedAddr, MappingField};
 pub use model::DramModel;

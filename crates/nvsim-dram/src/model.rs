@@ -10,7 +10,7 @@
 
 use crate::bank::{Bank, BankState, RankWindow};
 use crate::command::{CommandKind, CommandRecord};
-use crate::config::{DramConfig, SchedulerPolicy};
+use crate::config::DramConfig;
 use crate::mapping::{AddressMapping, DecodedAddr};
 use nvsim_types::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use nvsim_types::{Addr, ConfigError, Time};
@@ -111,11 +111,6 @@ impl DramModel {
         &self.cfg
     }
 
-    /// Replaces the address mapping (must target the same organization).
-    pub fn set_mapping(&mut self, mapping: AddressMapping) {
-        self.mapping = mapping;
-    }
-
     /// Aggregate statistics so far.
     pub fn stats(&self) -> DramStats {
         self.stats
@@ -129,11 +124,6 @@ impl DramModel {
     /// Clears the recorded command trace.
     pub fn clear_trace(&mut self) {
         self.trace.clear();
-    }
-
-    /// Scheduler policy in effect.
-    pub fn scheduler(&self) -> SchedulerPolicy {
-        self.cfg.scheduler
     }
 
     fn clocks(&self, n: u32) -> Time {

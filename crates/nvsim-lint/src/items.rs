@@ -12,7 +12,7 @@
 //!
 //! The output feeds the submit-pairing check (R4
 //! `expect-completion-misuse`), the snapshot helper walk (R11), the
-//! Driver lock graph (R12) and the unit-domain engine (R15–R18). The
+//! protocol reference scan (R14) and the unit-domain engine (R15–R18). The
 //! parser is deliberately conservative: it only needs brace/paren/bracket
 //! matching plus a small angle-bracket matcher for `impl` headers, never
 //! a full grammar. Anything it cannot classify is simply not an item,
@@ -52,7 +52,8 @@ pub struct FnItem {
     pub is_test: bool,
     /// Token-index range `[start, end]` of the body — the opening `{` and
     /// its matching `}` in the *full* token stream — for passes that need
-    /// to re-scan body tokens (R11 field references, R12 lock events).
+    /// to re-scan body tokens (R11 field references, R14 enclosing
+    /// functions, the unit-domain engine).
     /// `None` for bodyless trait declarations.
     pub body: Option<(usize, usize)>,
     pub calls: Vec<Call>,

@@ -5,10 +5,11 @@
 //! for any `--jobs N`, run-to-run) rests on invariants the type checker
 //! cannot see: full trace coverage, every snapshot field saved and
 //! restored, every wire variant encoded, decoded and tested, no narrowing
-//! or pointer casts, consistent unit domains and lock order. (The rules
-//! clippy checks by resolving types — no unordered maps, no host clock, no
-//! locks or threads, no panics on the datapath, no undocumented `unsafe`
-//! — live in the workspace `clippy.toml` and the crate-root lint headers.)
+//! casts, consistent unit domains. (The rules clippy checks by resolving
+//! types — no unordered maps, no host clock, no locks or threads, no
+//! panics on the datapath, no undocumented `unsafe`, no pointer-to-integer
+//! casts — live in the workspace `clippy.toml` and the crate-root lint
+//! headers.)
 //! This crate is a hand-rolled lexer + item-tree parser + rule engine (no
 //! `syn`: the linter has no dependencies) that walks workspace sources and
 //! enforces them — both token-level rules and workspace-level ones. See
@@ -23,13 +24,14 @@
     clippy::todo,
     clippy::unimplemented,
     clippy::undocumented_unsafe_blocks,
+    clippy::borrow_as_ptr,
+    clippy::ref_as_ptr,
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]
 
 pub mod items;
 pub mod lexer;
-pub mod locks;
 pub mod report;
 pub mod rules;
 pub mod scope;

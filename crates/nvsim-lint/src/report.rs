@@ -46,11 +46,12 @@ impl Report {
     /// baselined-finding count, the `stale_baseline` rows and the
     /// per-finding `"status"`; `new_count` is renamed `finding_count`.
     /// The `rules` inventory lists the ids this build checks, so it shrank
-    /// within v5 when R1–R3, R7, R8 and R10 moved to clippy. v4 grew the `rules` inventory to the R15–R18 unit-domain rules,
-    /// whose findings reuse the per-finding `"chain"` field for
-    /// operand-provenance evidence. v3 added R11–R14 and `"file_exists"`
-    /// on stale-baseline rows; v2 added the schema marker itself;
-    /// consumers must treat an absent `schema` key as v1.
+    /// within v5 when R1–R3, R7, R8, R10 and R13 moved to clippy and R12
+    /// was deleted. v4 grew the `rules` inventory to the R15–R18
+    /// unit-domain rules, whose findings reuse the per-finding `"chain"`
+    /// field for operand-provenance evidence. v3 added R11–R14 and
+    /// `"file_exists"` on stale-baseline rows; v2 added the schema marker
+    /// itself; consumers must treat an absent `schema` key as v1.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"schema\": 5,\n");
@@ -161,9 +162,9 @@ mod tests {
             file: "crates/x/src/a.rs".to_string(),
             line: 7,
             col: 3,
-            rule: Rule::LockOrder,
-            message: "cycle A, 50%: b".to_string(),
-            chain: vec!["a.rs:1 lock(x)".to_string()],
+            rule: Rule::UnitMismatch,
+            message: "mix A, 50%: b".to_string(),
+            chain: vec!["lhs `x` is ns (suffix)".to_string()],
         }
     }
 
@@ -182,7 +183,7 @@ mod tests {
         assert_eq!(
             lines[0],
             "::error file=crates/x/src/a.rs,line=7,col=3,\
-             title=nvsim-lint lock-order::cycle A, 50%25: b%0Avia a.rs:1 lock(x)"
+             title=nvsim-lint unit-mismatch::mix A, 50%25: b%0Avia lhs `x` is ns (suffix)"
         );
     }
 

@@ -5,8 +5,6 @@
 //!   R5  `stage-coverage`            — every Stage variant has an emission site
 //!   R9  `cast-truncation`           — no narrowing `as` casts on sim paths
 //!   R11 `snapshot-field-coverage`   — every field of a `Snapshot` type saved & restored
-//!   R12 `lock-order`                — no lock-acquisition cycles in Driver code
-//!   R13 `ptr-as-int`                — no pointer-to-integer casts on sim paths
 //!   R14 `protocol-coverage`         — every wire variant encoded, decoded, and tested
 //!   R15 `unit-mismatch`             — no arithmetic across unit domains (ns/cycles/…)
 //!   R16 `addr-domain`               — no addr↔line/page crossings via bare literals
@@ -19,21 +17,22 @@
 //! `unordered-map`, R2 `wall-clock` and R10 `sync-on-simpath` became
 //! `disallowed-types`/`disallowed-methods` entries, R3 `panic-path` and
 //! R8 `unsafe-undocumented` the `unwrap_used`/`expect_used`/`panic`-family
-//! and `undocumented_unsafe_blocks` lints. R7 `panic-reach` went with R3:
-//! it only extended R3's findings. Their numbers stay retired.
+//! and `undocumented_unsafe_blocks` lints, and R13 `ptr-as-int` the
+//! `borrow_as_ptr`/`ref_as_ptr` lints plus `as_ptr` entries. R7
+//! `panic-reach` went with R3: it only extended R3's findings. R12
+//! `lock-order` was deleted: its lock graph never reported a finding, and
+//! a lock outside the bench crate needs a reviewed clippy `#[expect]`.
+//! Their numbers stay retired.
 //!
-//! R9 and R13 are token-level per-file checks. R4 and R11 are per-file
-//! semantic checks over the item tree ([`crate::items`]); R12 and R14 are
-//! workspace-level: they run over the Driver lock graph
-//! ([`crate::locks`]) and the aggregated protocol-reference facts
-//! respectively. R15–R18 ride on the unit-domain dataflow engine
-//! ([`crate::units`]): R17/R18 fire per-file, R15/R16 fire at
-//! aggregation time so call operands resolve against the workspace
-//! fn-unit summary map.
+//! R9 is a token-level per-file check. R4 and R11 are per-file semantic
+//! checks over the item tree ([`crate::items`]); R14 is workspace-level,
+//! over the aggregated protocol-reference facts. R15–R18 ride on the
+//! unit-domain dataflow engine ([`crate::units`]): R17/R18 fire
+//! per-file, R15/R16 fire at aggregation time so call operands resolve
+//! against the workspace fn-unit summary map.
 
 use crate::items::{parse_items, parse_types, FnItem, TypeDef};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::locks::{self, LockFn};
 use crate::scope::{allows, test_mask, Allow};
 use crate::units::{self, FnUnit, OpKind, Operand, Unit, UnitOp};
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,8 +44,6 @@ pub enum Rule {
     StageCoverage,
     CastTruncation,
     SnapshotFieldCoverage,
-    LockOrder,
-    PtrAsInt,
     ProtocolCoverage,
     UnitMismatch,
     AddrDomain,
@@ -55,13 +52,11 @@ pub enum Rule {
     BadAnnotation,
 }
 
-pub const ALL_RULES: [Rule; 12] = [
+pub const ALL_RULES: [Rule; 10] = [
     Rule::ExpectCompletionMisuse,
     Rule::StageCoverage,
     Rule::CastTruncation,
     Rule::SnapshotFieldCoverage,
-    Rule::LockOrder,
-    Rule::PtrAsInt,
     Rule::ProtocolCoverage,
     Rule::UnitMismatch,
     Rule::AddrDomain,
@@ -77,8 +72,6 @@ impl Rule {
             Rule::StageCoverage => "stage-coverage",
             Rule::CastTruncation => "cast-truncation",
             Rule::SnapshotFieldCoverage => "snapshot-field-coverage",
-            Rule::LockOrder => "lock-order",
-            Rule::PtrAsInt => "ptr-as-int",
             Rule::ProtocolCoverage => "protocol-coverage",
             Rule::UnitMismatch => "unit-mismatch",
             Rule::AddrDomain => "addr-domain",
@@ -110,18 +103,6 @@ impl Rule {
                  serve-session parking then diverge from an uninterrupted run. Reference \
                  the field on both sides, or annotate the field with a written argument \
                  that it is derived/transient and rebuilt without snapshot state"
-            }
-            Rule::LockOrder => {
-                "two locks acquired in opposite orders on different paths (directly or \
-                 through a call made while a guard is held) can deadlock the worker pool \
-                 under contention; keep a single global acquisition order or drop the \
-                 first guard before taking the second"
-            }
-            Rule::PtrAsInt => {
-                "casting a reference or pointer to an integer launders the allocation \
-                 address into a value: ASLR then feeds a different number into every run \
-                 and any simulated quantity derived from it breaks byte-identical \
-                 reproducibility"
             }
             Rule::ProtocolCoverage => {
                 "a wire-protocol variant with no encode site, no decode arm, or no \
@@ -171,16 +152,14 @@ impl Rule {
     /// Catalog number as documented in the module header and DESIGN.md.
     /// `None` for `bad-annotation`, which polices the annotation syntax
     /// itself and has never carried a number. The numbering is frozen:
-    /// R6 was retired before v1 shipped, and R1–R3, R7, R8 and R10 moved
-    /// to clippy (see the module docs).
+    /// R6 was retired before v1 shipped, R1–R3, R7, R8, R10 and R13 moved
+    /// to clippy, and R12 was deleted (see the module docs).
     pub fn number(self) -> Option<u32> {
         match self {
             Rule::ExpectCompletionMisuse => Some(4),
             Rule::StageCoverage => Some(5),
             Rule::CastTruncation => Some(9),
             Rule::SnapshotFieldCoverage => Some(11),
-            Rule::LockOrder => Some(12),
-            Rule::PtrAsInt => Some(13),
             Rule::ProtocolCoverage => Some(14),
             Rule::UnitMismatch => Some(15),
             Rule::AddrDomain => Some(16),
@@ -199,8 +178,6 @@ impl Rule {
             Rule::StageCoverage => "every Stage variant has a trace emission site",
             Rule::CastTruncation => "no narrowing `as` casts of counters/addresses",
             Rule::SnapshotFieldCoverage => "every Snapshot field is saved and restored",
-            Rule::LockOrder => "no conflicting lock-acquisition orders (Driver code)",
-            Rule::PtrAsInt => "no pointer-to-integer casts (ASLR nondeterminism)",
             Rule::ProtocolCoverage => {
                 "every wire variant is encoded, decoded, and round-trip tested"
             }
@@ -220,10 +197,9 @@ impl Rule {
     /// any `chain` payload.
     pub fn evidence(self) -> &'static str {
         match self {
-            Rule::PtrAsInt
-            | Rule::CastTruncation
-            | Rule::BadAnnotation
-            | Rule::ExpectCompletionMisuse => "file:line:col of the offending token",
+            Rule::CastTruncation | Rule::BadAnnotation | Rule::ExpectCompletionMisuse => {
+                "file:line:col of the offending token"
+            }
             Rule::StageCoverage => {
                 "the Stage variant's definition site; fires when no \
                  SpanRecorder emission references it anywhere in the workspace"
@@ -231,10 +207,6 @@ impl Rule {
             Rule::SnapshotFieldCoverage => {
                 "the field's declaration site, naming which of \
                  save/restore misses it"
-            }
-            Rule::LockOrder => {
-                "one acquisition site per cycle, with the lock-order cycle \
-                 (lock -> lock -> ...) in the finding's `chain` field"
             }
             Rule::ProtocolCoverage => {
                 "the variant's definition site, naming the missing \
@@ -285,13 +257,11 @@ pub enum FileClass {
     /// Simulator source: all rules apply.
     Simulation,
     /// Driver code (the bench crate, the serve executor and daemon loops,
-    /// binary entrypoints): narrowing stat casts, locks and threads are
-    /// legitimate there, but completion discipline (R4) still applies and
-    /// R12 checks the lock order. (Clippy keeps the unordered-map and
-    /// unsafe-comment rules on it.)
+    /// binary entrypoints, examples): narrowing stat casts, locks and
+    /// threads are legitimate there, and only completion discipline (R4)
+    /// applies. (Clippy keeps the unordered-map and unsafe-comment rules
+    /// on it.)
     Driver,
-    /// Examples: R4 only (they demonstrate the public API).
-    Example,
     /// Integration-test trees: no rules apply, but the files are scanned
     /// for R14 round-trip-test references (a protocol variant exercised
     /// only from `tests/` still counts as tested).
@@ -319,10 +289,8 @@ pub fn classify(rel: &str) -> FileClass {
     if in_dir("benches") {
         return FileClass::Skip;
     }
-    if in_dir("examples") {
-        return FileClass::Example;
-    }
-    if rel.starts_with("crates/bench/") {
+    // Examples drive the public API the way the bench crate does.
+    if in_dir("examples") || rel.starts_with("crates/bench/") {
         return FileClass::Driver;
     }
     // The serve executor and the daemon loops are the places the service
@@ -353,8 +321,7 @@ pub struct Finding {
     pub col: u32,
     pub rule: Rule,
     pub message: String,
-    /// Chain evidence: the R12 lock-acquisition cycle (first lock
-    /// repeated at the end), or the R15/R16 operand provenance.
+    /// Chain evidence: the R15/R16 operand provenance.
     pub chain: Vec<String>,
 }
 
@@ -371,7 +338,7 @@ pub enum ProtoRef {
 }
 
 /// Per-file facts feeding the workspace-level passes (R5 stage coverage,
-/// R12 lock order, R14 protocol coverage, R15/R16 unit resolution).
+/// R14 protocol coverage, R15/R16 unit resolution).
 #[derive(Debug, Default)]
 pub struct FileFacts {
     /// `(variant, line)` pairs from the `enum Stage` definition, if this
@@ -388,8 +355,6 @@ pub struct FileFacts {
     pub proto_defined: Vec<(String, String, u32)>,
     /// Protocol variant reference sites `(enum, variant, kind)`.
     pub proto_refs: Vec<(String, String, ProtoRef)>,
-    /// Per-function lock facts (Driver-class files only) for R12.
-    pub lock_fns: Vec<LockFn>,
     /// R15/R16 operator sites awaiting call-operand resolution against
     /// the workspace fn-unit summary map.
     pub unit_ops: Vec<UnitOp>,
@@ -406,13 +371,6 @@ const PROTOCOL_DEF_FILE: &str = "nvsim-serve/src/protocol.rs";
 
 /// The wire-protocol enums whose variants R14 tracks.
 const PROTOCOL_ENUMS: [&str; 2] = ["Command", "Response"];
-
-/// Integer target types of an R13 pointer cast. Wider than R9's narrowing
-/// list: a pointer laundered through `as u64`/`as usize` is exactly the
-/// nondeterminism R13 exists to stop.
-const PTR_CAST_INTS: [&str; 12] = [
-    "usize", "u64", "u32", "u16", "u8", "isize", "i64", "i32", "i16", "i8", "u128", "i128",
-];
 
 /// Path suffix of the completion-bookkeeping module: the one place allowed
 /// to define and wrap `expect_completion` without a paired submit (the
@@ -514,19 +472,7 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
         }
     }
 
-    // R13 — pointer-to-integer casts (simulation only).
-    if class == FileClass::Simulation {
-        for (line, col, what) in ptr_as_int_sites(&toks, &mask) {
-            push(
-                Rule::PtrAsInt,
-                line,
-                col,
-                format!("{what}: {}", Rule::PtrAsInt.rationale()),
-            );
-        }
-    }
-
-    // Item tree: feeds R4, R11, R12 and the unit-domain engine.
+    // Item tree: feeds R4, R11 and the unit-domain engine.
     let items = parse_items(&toks, &mask);
 
     // R15–R18 — unit-domain dataflow (simulation only). R17/R18 fire
@@ -575,12 +521,6 @@ pub fn lint_file(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, FileF
         if rel.contains("crates/nvsim-serve/") {
             facts.proto_refs = proto_refs(&toks, &mask, &items, class);
         }
-    }
-
-    // R12 facts — lock acquisitions and guard extents (Driver files only;
-    // clippy's R10 configuration keeps everything else lock-free).
-    if class == FileClass::Driver {
-        facts.lock_fns = locks::collect(&toks, &mask, &items);
     }
 
     // R4 — expect_completion outside the completion-bookkeeping module must
@@ -714,88 +654,6 @@ fn reachable_idents(toks: &[Tok], items: &[FnItem], start: usize) -> BTreeSet<St
     idents
 }
 
-/// R13 scan: pointer-to-integer cast sites `(line, col, description)`.
-///
-/// Two patterns are recognized — `.as_ptr() as <int>` (and `as_mut_ptr`)
-/// and the cast chain `… as *const T as <int>` / `… as *mut T as <int>`.
-/// A bare `p as usize` on an already-pointer-typed binding needs type
-/// inference and is out of scope; the workspace idiom for sanctioned
-/// widening (`n as u64` on integers) is untouched.
-fn ptr_as_int_sites(toks: &[Tok], mask: &[bool]) -> Vec<(u32, u32, String)> {
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
-    let mut out = Vec::new();
-    for k in 0..code.len() {
-        let i = code[k];
-        if mask[i] || !toks[i].is_ident("as") {
-            continue;
-        }
-        let Some(&ni) = code.get(k + 1) else {
-            continue;
-        };
-        if toks[ni].kind != TokKind::Ident || !PTR_CAST_INTS.contains(&toks[ni].text.as_str()) {
-            continue;
-        }
-        let int_ty = toks[ni].text.as_str();
-        // `.as_ptr() as usize` — the pointer came from a method one step back.
-        let from_as_ptr = k >= 4
-            && toks[code[k - 1]].is_punct(')')
-            && toks[code[k - 2]].is_punct('(')
-            && (toks[code[k - 3]].is_ident("as_ptr") || toks[code[k - 3]].is_ident("as_mut_ptr"))
-            && toks[code[k - 4]].is_punct('.');
-        if from_as_ptr {
-            out.push((
-                toks[i].line,
-                toks[i].col,
-                format!("`.{}() as {int_ty}` pointer cast", toks[code[k - 3]].text),
-            ));
-            continue;
-        }
-        // `… as *const T as usize` — walk back over the pointee type to the
-        // raw-pointer cast that produced the value.
-        let mut j = k;
-        let mut steps = 0usize;
-        let from_raw_cast = loop {
-            if j == 0 || steps > 16 {
-                break false;
-            }
-            j -= 1;
-            steps += 1;
-            let t = &toks[code[j]];
-            let type_ish = (t.kind == TokKind::Ident
-                && !matches!(t.text.as_str(), "const" | "mut" | "as"))
-                || t.is_punct(':')
-                || t.is_punct('<')
-                || t.is_punct('>')
-                || t.is_punct('[')
-                || t.is_punct(']')
-                || t.is_punct(';')
-                || t.kind == TokKind::Lifetime
-                || t.kind == TokKind::Num;
-            if type_ish {
-                continue;
-            }
-            break t.kind == TokKind::Ident
-                && matches!(t.text.as_str(), "const" | "mut")
-                && j >= 2
-                && toks[code[j - 1]].is_punct('*')
-                && toks[code[j - 2]].is_ident("as");
-        };
-        if from_raw_cast {
-            out.push((
-                toks[i].line,
-                toks[i].col,
-                format!(
-                    "`as *{} _ as {int_ty}` pointer cast chain",
-                    toks[code[j]].text
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// R14 reference scan: `Command::X` / `Response::X` sites classified as
 /// encode, decode, or test references. Test-masked regions and `tests/`
 /// files count as Test; unmasked sites count only inside a fn whose name
@@ -888,7 +746,7 @@ pub fn protocol_coverage(
 }
 
 /// Workspace-level R15/R16: resolve call operands through the fn-unit
-/// summary map (qualified-name narrowing, like the lock graph) and fire
+/// summary map (a `Q::f` call narrows to the `f` owned by `Q`) and fire
 /// unit mismatches and bare-literal address-domain crossings.
 fn unit_findings(unit_files: &[(String, Vec<UnitOp>)], fn_units: &[FnUnit]) -> Vec<Finding> {
     let mut summary: BTreeMap<&str, Vec<(&Option<String>, Unit)>> = BTreeMap::new();
@@ -1089,8 +947,8 @@ pub fn lint_sources<'a>(files: impl IntoIterator<Item = (&'a str, &'a str)>) -> 
 }
 
 /// Combine the per-file results of [`lint_file`] and run the
-/// workspace-level passes: R5 stage coverage, the R12 lock graph, R14
-/// protocol coverage, and R15/R16 call-operand resolution.
+/// workspace-level passes: R5 stage coverage, R14 protocol coverage, and
+/// R15/R16 call-operand resolution.
 /// Then apply the allows, the one place any finding is suppressed: a
 /// finding goes when a justified allow of its rule applies to its line,
 /// and an allow that suppresses no finding is itself a `bad-annotation`
@@ -1104,7 +962,6 @@ fn aggregate(per_file: Vec<(String, Vec<Finding>, FileFacts)>) -> Vec<Finding> {
     type ProtoDef = (String, Vec<(String, String, u32)>);
     let mut proto_def: Option<ProtoDef> = None;
     let mut proto_refs_all: Vec<(String, String, ProtoRef)> = Vec::new();
-    let mut lock_files: Vec<(String, Vec<LockFn>)> = Vec::new();
     let mut unit_files: Vec<(String, Vec<UnitOp>)> = Vec::new();
     let mut fn_units_all: Vec<FnUnit> = Vec::new();
     for (rel, mut f, mut facts) in per_file {
@@ -1124,28 +981,9 @@ fn aggregate(per_file: Vec<(String, Vec<Finding>, FileFacts)>) -> Vec<Finding> {
             proto_def = Some((rel.clone(), std::mem::take(&mut facts.proto_defined)));
         }
         proto_refs_all.append(&mut facts.proto_refs);
-        if !facts.lock_fns.is_empty() {
-            lock_files.push((rel.clone(), std::mem::take(&mut facts.lock_fns)));
-        }
     }
     if let Some((def_file, defined)) = &stage_def {
         findings.extend(stage_coverage(def_file, defined, &emitted_all));
-    }
-    // R12 — lock-order cycles over the Driver lock graph.
-    for c in locks::lock_order(&lock_files) {
-        let message = format!(
-            "lock acquisition cycle {}: {}",
-            c.chain.join(" → "),
-            Rule::LockOrder.rationale()
-        );
-        findings.push(Finding {
-            file: c.file,
-            line: c.line,
-            col: c.col,
-            rule: Rule::LockOrder,
-            message,
-            chain: c.chain,
-        });
     }
     // R14 — wire-protocol coverage.
     if let Some((def_file, defined)) = &proto_def {

@@ -23,9 +23,9 @@
 //!   * records every `+`/`-`/compare/assign site whose operand units
 //!     could conflict as a [`UnitOp`] *fact*; sites whose operand is a
 //!     workspace function call are resolved later against the workspace
-//!     [`FnUnit`] summary map (same qualified-name narrowing as the lock
-//!     graph), so the per-file pass needs no other file and the cross-file
-//!     pass runs over the collected facts, exactly like R12/R14.
+//!     [`FnUnit`] summary map (a `Q::f` call narrows to the `f` owned by
+//!     `Q`), so the per-file pass needs no other file and the cross-file
+//!     pass runs over the collected facts, exactly like R14.
 //!
 //! Four rules ride on the engine (firing logic in [`crate::rules`]):
 //! R15 `unit-mismatch` and R16 `addr-domain` fire at aggregation time

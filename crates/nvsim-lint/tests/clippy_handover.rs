@@ -1,6 +1,7 @@
 //! The rules nvsim-lint handed to clippy (R1 `unordered-map`, R2
 //! `wall-clock`, R3 `panic-path`, R8 `unsafe-undocumented`, R10
-//! `sync-on-simpath`), checked on the bugs they were written for: each
+//! `sync-on-simpath`, R13 `ptr-as-int`), checked on the bugs they were
+//! written for: each
 //! fixture, compiled by the toolchain's `clippy-driver` under the
 //! workspace `clippy.toml` and the crate-root lint header, fails with its
 //! named lint, passes with a reasoned `#[expect]`, and an `#[expect]` that
@@ -13,8 +14,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// The lint header of every Simulation-class crate root: R3 and R8, and
-/// suppression only through a reasoned `#[expect]`.
+/// The lint header of every Simulation-class crate root: R3, R8 and R13,
+/// and suppression only through a reasoned `#[expect]`.
 const SIMULATION_HEADER: &str = "#![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -23,6 +24,8 @@ const SIMULATION_HEADER: &str = "#![deny(
     clippy::todo,
     clippy::unimplemented,
     clippy::undocumented_unsafe_blocks,
+    clippy::borrow_as_ptr,
+    clippy::ref_as_ptr,
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]";
@@ -219,6 +222,55 @@ pub fn racy_total(n: u64) -> u64 {
     drop(tx);
     let sent: u64 = rx.iter().sum();
     sent + ticks.load(Ordering::Relaxed)
+}
+",
+    },
+    // R13: a bank picked from where a value lives instead of from what it
+    // is, so ASLR moves it from run to run.
+    Fixture {
+        name: "borrow_as_int",
+        lints: &["clippy::borrow_as_ptr"],
+        body: "
+pub fn bank_of(line: u64) -> usize {
+    (&line as *const u64 as usize) % 16
+}
+",
+    },
+    Fixture {
+        name: "ref_as_int",
+        lints: &["clippy::ref_as_ptr"],
+        body: "
+pub fn bank_of(line: &u64) -> usize {
+    (line as *const u64 as usize) % 16
+}
+",
+    },
+    // R13: a seed taken from a buffer's address.
+    Fixture {
+        name: "slice_as_ptr_as_int",
+        lints: &["clippy::disallowed_methods"],
+        body: "
+pub fn seed(buf: &[u64]) -> u64 {
+    buf.as_ptr() as u64
+}
+",
+    },
+    Fixture {
+        name: "str_as_ptr_as_int",
+        lints: &["clippy::disallowed_methods"],
+        body: "
+pub fn seed(name: &str) -> usize {
+    name.as_ptr() as usize
+}
+",
+    },
+    Fixture {
+        name: "vec_as_ptr_as_int",
+        lints: &["clippy::disallowed_methods"],
+        body: "
+pub fn seed(n: usize) -> usize {
+    let table = vec![0u64; n];
+    table.as_ptr() as usize
 }
 ",
     },

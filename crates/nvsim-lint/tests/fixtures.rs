@@ -5,6 +5,7 @@
 use nvsim_lint::rules::{lint_sources, Rule};
 
 const SIM: &str = "crates/vans/src/fixture.rs";
+const DRIVER: &str = "crates/bench/src/fixture.rs";
 
 fn rules_at(path: &str, src: &str) -> Vec<(String, u32)> {
     lint_sources([(path, src)])
@@ -87,8 +88,9 @@ fn unknown_rule_id_in_annotation_is_flagged() {
     assert_eq!(rule_count(SIM, src, Rule::BadAnnotation), 1);
 }
 
-/// The ids of the rules clippy checks are unknown here: an annotation
-/// naming one is a finding, so none can linger in the tree.
+/// The ids of the rules clippy checks, and of the deleted ones, are
+/// unknown here: an annotation naming one is a finding, so none can
+/// linger in the tree.
 #[test]
 fn retired_rule_ids_are_unknown() {
     for id in [
@@ -98,9 +100,11 @@ fn retired_rule_ids_are_unknown() {
         "panic-reach",
         "unsafe-undocumented",
         "sync-on-simpath",
+        "lock-order",
+        "ptr-as-int",
     ] {
         assert_eq!(Rule::from_id(id), None, "{id}");
-        let src = format!("// nvsim-lint: allow({id}) — moved to clippy\nfn f() {{}}\n");
+        let src = format!("// nvsim-lint: allow({id}) — retired\nfn f() {{}}\n");
         assert_eq!(rule_count(SIM, &src, Rule::BadAnnotation), 1, "{id}");
     }
 }
@@ -122,9 +126,50 @@ fn shims_and_test_trees_are_exempt() {
     );
 }
 
+/// One site each of R4, R9 and R11: Simulation-class files get all
+/// three findings, Driver-class files only R4's.
+const CLASS_PROBE: &str = "
+fn take(b: &mut B, id: u64) -> u64 { b.expect_completion(id) }
+fn narrow(n: u64) -> u32 { n as u32 }
+struct S { a: u64, b: u64 }
+impl Snapshot for S {
+    fn save(&self, w: &mut SnapshotWriter) { w.put_u64(self.a); w.put_u64(self.b); }
+    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.a = r.get_u64()?;
+        Ok(())
+    }
+}
+";
+
+/// `(R4, R9, R11)` finding counts of [`CLASS_PROBE`] at `path`.
+fn class_profile(path: &str) -> (usize, usize, usize) {
+    (
+        rule_count(path, CLASS_PROBE, Rule::ExpectCompletionMisuse),
+        rule_count(path, CLASS_PROBE, Rule::CastTruncation),
+        rule_count(path, CLASS_PROBE, Rule::SnapshotFieldCoverage),
+    )
+}
+
+const SIMULATION_PROFILE: (usize, usize, usize) = (1, 1, 1);
+const DRIVER_PROFILE: (usize, usize, usize) = (1, 0, 0);
+
+#[test]
+fn class_probe_tells_the_classes_apart() {
+    assert_eq!(class_profile(SIM), SIMULATION_PROFILE);
+    assert_eq!(class_profile(DRIVER), DRIVER_PROFILE);
+    assert_eq!(class_profile("crates/shims/bytes/src/lib.rs"), (0, 0, 0));
+}
+
 #[test]
 fn bench_runner_code_is_driver_class() {
-    assert!(rule_count("crates/bench/src/runner.rs", LOCK_CYCLE, Rule::LockOrder) > 0);
+    assert_eq!(class_profile("crates/bench/src/runner.rs"), DRIVER_PROFILE);
+}
+
+#[test]
+fn examples_are_driver_class() {
+    for file in ["examples/quickstart.rs", "crates/vans/examples/demo.rs"] {
+        assert_eq!(class_profile(file), DRIVER_PROFILE, "{file}");
+    }
 }
 
 // ---------------------------------------------------------------- R4
@@ -330,41 +375,17 @@ fn r9_use_renames_are_not_casts() {
 
 // ------------------------------------------------- serve classification
 
-/// Lock-order cycle fixture: R12 runs on Driver-class files only.
-const LOCK_CYCLE: &str = "
-fn ab(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let ga = a.lock().expect(\"a\");
-    let gb = b.lock().expect(\"b\");
-}
-fn ba(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let gb = b.lock().expect(\"b\");
-    let ga = a.lock().expect(\"a\");
-}
-";
-
 #[test]
-fn serve_driver_files_keep_lock_order_but_not_simulation_rules() {
+fn serve_driver_files_keep_completion_discipline_but_not_simulation_rules() {
     // The executor holds the workspace's one worker pool and the daemon
-    // its loops: narrowing stat casts are legitimate there, but their
-    // lock order is checked.
+    // its loops: narrowing stat casts are legitimate there, but a
+    // completion still needs its submit.
     for file in [
         "crates/nvsim-serve/src/executor.rs",
         "crates/nvsim-serve/src/daemon.rs",
         "src/bin/nvsim_served.rs",
     ] {
-        assert_eq!(
-            rule_count(
-                file,
-                "fn f(n: u64) -> u32 { n as u32 }\n",
-                Rule::CastTruncation
-            ),
-            0,
-            "{file} must be driver-class for R9"
-        );
-        assert!(
-            rule_count(file, LOCK_CYCLE, Rule::LockOrder) > 0,
-            "{file} must be driver-class for R12"
-        );
+        assert_eq!(class_profile(file), DRIVER_PROFILE, "{file}");
     }
 }
 
@@ -380,20 +401,7 @@ fn rest_of_serve_crate_is_simulation_class() {
         "crates/nvsim-serve/src/transport.rs",
         "crates/nvsim-serve/src/lib.rs",
     ] {
-        assert_eq!(
-            rule_count(
-                file,
-                "fn f(n: u64) -> u32 { n as u32 }\n",
-                Rule::CastTruncation
-            ),
-            1,
-            "{file} must be simulation-class for R9"
-        );
-        assert_eq!(
-            rule_count(file, LOCK_CYCLE, Rule::LockOrder),
-            0,
-            "{file} must be simulation-class for R12"
-        );
+        assert_eq!(class_profile(file), SIMULATION_PROFILE, "{file}");
     }
 }
 
@@ -601,113 +609,6 @@ impl Snapshot for S {
 }"
     );
     assert_eq!(rule_count(SIM, &src, Rule::SnapshotFieldCoverage), 0);
-}
-
-// ---------------------------------------------------------------- R12
-
-const DRIVER: &str = "crates/bench/src/fixture.rs";
-
-#[test]
-fn r12_two_lock_cycle_is_flagged_with_the_chain() {
-    let hits = lint_sources([(DRIVER, LOCK_CYCLE)]);
-    let f = hits
-        .iter()
-        .find(|f| f.rule == Rule::LockOrder)
-        .expect("cycle finding");
-    assert!(f.message.contains("lock acquisition cycle"));
-    assert!(
-        !f.chain.is_empty(),
-        "cycle evidence travels in the chain field"
-    );
-}
-
-#[test]
-fn r12_consistent_lock_order_is_clean() {
-    let src = "
-fn ab(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let ga = a.lock().expect(\"a\");
-    let gb = b.lock().expect(\"b\");
-}
-fn also_ab(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let ga = a.lock().expect(\"a\");
-    let gb = b.lock().expect(\"b\");
-}
-";
-    assert_eq!(rule_count(DRIVER, src, Rule::LockOrder), 0);
-}
-
-#[test]
-fn r12_temporary_guard_chains_do_not_hold_across_the_next_lock() {
-    // The bench-runner idiom: consume the guard in the same statement.
-    let src = "
-fn drain(q: &Mutex<VecDeque<u64>>, r: &Mutex<VecDeque<u64>>) {
-    let x = q.lock().expect(\"q\").pop_front();
-    let y = r.lock().expect(\"r\").pop_front();
-}
-fn drain_rev(q: &Mutex<VecDeque<u64>>, r: &Mutex<VecDeque<u64>>) {
-    let y = r.lock().expect(\"r\").pop_front();
-    let x = q.lock().expect(\"q\").pop_front();
-}
-";
-    assert_eq!(rule_count(DRIVER, src, Rule::LockOrder), 0);
-}
-
-#[test]
-fn r12_self_deadlock_is_flagged() {
-    let src = "
-fn relock(m: &Mutex<u64>) {
-    let g = m.lock().expect(\"outer\");
-    let h = m.lock().expect(\"inner\");
-}
-";
-    assert_eq!(rule_count(DRIVER, src, Rule::LockOrder), 1);
-}
-
-#[test]
-fn r12_allow_on_the_acquisition_site_suppresses() {
-    let src = "
-fn ab(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let ga = a.lock().expect(\"a\");
-    let gb = b.lock().expect(\"b\"); // nvsim-lint: allow(lock-order) — fixture exercising suppression.
-}
-fn ba(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let gb = b.lock().expect(\"b\");
-    let ga = a.lock().expect(\"a\"); // nvsim-lint: allow(lock-order) — fixture exercising suppression.
-}
-";
-    assert_eq!(rule_count(DRIVER, src, Rule::LockOrder), 0);
-}
-
-// ---------------------------------------------------------------- R13
-
-#[test]
-fn r13_reference_to_integer_cast_is_flagged() {
-    let src = "fn f(x: &u64) -> usize { x as *const u64 as usize }\n";
-    assert_eq!(rule_count(SIM, src, Rule::PtrAsInt), 1);
-}
-
-#[test]
-fn r13_as_ptr_to_integer_cast_is_flagged() {
-    let src = "fn f(v: &[u8]) -> u64 { v.as_ptr() as u64 }\n";
-    assert_eq!(rule_count(SIM, src, Rule::PtrAsInt), 1);
-}
-
-#[test]
-fn r13_sanctioned_value_widening_is_clean() {
-    let src = "fn f(x: u32, y: u16) -> u64 { (x as u64) + (y as u64) }\n";
-    assert_eq!(rule_count(SIM, src, Rule::PtrAsInt), 0);
-}
-
-#[test]
-fn r13_test_code_is_exempt() {
-    let src = "#[test]\nfn t() { let x = 7u64; let _ = &x as *const u64 as usize; }\n";
-    assert_eq!(rule_count(SIM, src, Rule::PtrAsInt), 0);
-}
-
-#[test]
-fn r13_does_not_fire_on_driver_class_files() {
-    let src = "fn f(x: &u64) -> usize { x as *const u64 as usize }\n";
-    assert_eq!(rule_count(DRIVER, src, Rule::PtrAsInt), 0);
 }
 
 // ---------------------------------------------------------------- R14
@@ -1009,8 +910,7 @@ fn r18_allow_with_reason_suppresses() {
 fn transport_layer_files_classify_as_driver() {
     use nvsim_lint::rules::{classify, FileClass};
     // The executor and daemon may hold threads, sleep between polls and
-    // touch sockets — pin them Driver-class: R12 checks their locks, the
-    // simulation rules stay off.
+    // touch sockets — pin them Driver-class: the simulation rules stay off.
     for rel in [
         "crates/nvsim-serve/src/executor.rs",
         "crates/nvsim-serve/src/daemon.rs",
@@ -1076,11 +976,11 @@ impl Conn {{
     assert_eq!(rule_count(transport, &bare, Rule::UnitMismatch), 1);
 }
 
-/// One live allow per rule family — token-level (R9), item-tree (R11),
-/// lock graph (R12), protocol coverage (R14), unit domains resolved at
-/// aggregation (R15) and per-file (R17): with its allow a source shows no
-/// finding of the rule and no annotation finding, and without it the
-/// rule fires.
+/// One live allow per rule family — token-level (R9), item-tree (R11,
+/// and R4 in a Driver-class file), protocol coverage (R14), unit domains
+/// resolved at aggregation (R15) and per-file (R17): with its allow a
+/// source shows no finding of the rule and no annotation finding, and
+/// without it the rule fires.
 #[test]
 fn live_allow_of_each_rule_family_is_clean() {
     let cases: [(&str, Rule, &str); 6] = [
@@ -1112,14 +1012,9 @@ impl Snapshot for S {
         ),
         (
             DRIVER,
-            Rule::LockOrder,
-            "fn ab(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let ga = a.lock().expect(\"a\");
-    let gb = b.lock().expect(\"b\"); // nvsim-lint: allow(lock-order) — fixture exercising suppression.
-}
-fn ba(a: &Mutex<u64>, b: &Mutex<u64>) {
-    let gb = b.lock().expect(\"b\");
-    let ga = a.lock().expect(\"a\");
+            Rule::ExpectCompletionMisuse,
+            "fn wait(b: &mut B, id: u64) -> u64 {
+    b.expect_completion(id) // nvsim-lint: allow(expect-completion-misuse) — fixture: the caller submitted `id`.
 }
 ",
         ),

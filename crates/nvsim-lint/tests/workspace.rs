@@ -53,8 +53,8 @@ fn readme_rule_table_matches_the_rule_inventory() {
     );
 }
 
-/// Self-benchmark: the full semantic analysis (lex + item tree + lock
-/// graph + every rule over every workspace file) must
+/// Self-benchmark: the full semantic analysis (lex + item tree + every
+/// rule over every workspace file) must
 /// stay fast enough to run on every CI push. 5 s is the budget from ISSUE
 /// 4; a debug-build single-CPU container run currently takes well under
 /// 1 s.

@@ -8,9 +8,10 @@
 //! configured instance is an error the per-component impls detect via
 //! their structural-parameter checks.
 //!
-//! The encoding extends the `trace_io` varint codec (LEB128 `u64`,
-//! zigzag `i64`) but is std-only: a plain `Vec<u8>` on the write side and
-//! a borrowed `&[u8]` cursor on the read side. Blobs produced by
+//! The encoding is std-only varints (LEB128 `u64`, zigzag `i64`): a plain
+//! `Vec<u8>` on the write side and a borrowed `&[u8]` cursor on the read
+//! side. The binary trace container (`nvsim_cpu::trace_io`) and the wire
+//! protocol write the same varints. Blobs produced by
 //! [`save_blob`] start with the magic `b"NVSS"` and a format version
 //! byte; [`restore_blob`] rejects unknown versions with a clean
 //! [`SnapshotError`] instead of misinterpreting the payload.
