@@ -1,12 +1,11 @@
 //! The rules nvsim-lint handed to clippy (R1 `unordered-map`, R2
 //! `wall-clock`, R3 `panic-path`, R8 `unsafe-undocumented`, R10
 //! `sync-on-simpath`, R13 `ptr-as-int`), checked on the bugs they were
-//! written for: each
-//! fixture, compiled by the toolchain's `clippy-driver` under the
-//! workspace `clippy.toml` and the crate-root lint header, fails with its
-//! named lint, passes with a reasoned `#[expect]`, and an `#[expect]` that
-//! suppresses nothing fails. The header itself is pinned on every crate
-//! root that must carry it.
+//! written for: each fixture, compiled by the toolchain's `clippy-driver`
+//! under the workspace `clippy.toml` and the crate-root lint header,
+//! fails with its named lint, passes with a reasoned `#[expect]`, and an
+//! `#[expect]` that suppresses nothing fails. The header itself is
+//! pinned on every crate root that must carry it.
 //!
 //! Needs the toolchain's `clippy` component.
 
@@ -444,6 +443,16 @@ pub fn first(v: &[u64]) -> u64 {
     }
     // SAFETY: `v` is non-empty, so index 0 is in bounds.
     unsafe { *v.get_unchecked(0) }
+}
+",
+            false,
+        ),
+        // A value widening is not a pointer cast.
+        (
+            "value_widening",
+            "
+pub fn widen(x: u32, y: u16) -> u64 {
+    (x as u64) + (y as u64)
 }
 ",
             false,

@@ -154,13 +154,6 @@ const SIMULATION_PROFILE: (usize, usize, usize) = (1, 1, 1);
 const DRIVER_PROFILE: (usize, usize, usize) = (1, 0, 0);
 
 #[test]
-fn class_probe_tells_the_classes_apart() {
-    assert_eq!(class_profile(SIM), SIMULATION_PROFILE);
-    assert_eq!(class_profile(DRIVER), DRIVER_PROFILE);
-    assert_eq!(class_profile("crates/shims/bytes/src/lib.rs"), (0, 0, 0));
-}
-
-#[test]
 fn bench_runner_code_is_driver_class() {
     assert_eq!(class_profile("crates/bench/src/runner.rs"), DRIVER_PROFILE);
 }
