@@ -213,3 +213,55 @@ fn drain_returns_now_for_every_backend_kind() {
         assert!(idle > skip, "{kind}: {idle:?} is not past the skip");
     }
 }
+
+/// The completion contract every backend kind keeps: an in-flight id is
+/// taken once, in any order, at the same time on an identically built
+/// twin; a second take and a take of an id never submitted both report
+/// `UnknownRequest`; `drain` then ends both copies at the same time.
+#[test]
+fn completions_are_taken_once_in_any_order_for_every_backend_kind() {
+    use nvsim::types::{BackendError, ReqId};
+    let descs = [
+        RequestDesc::load(Addr::new(0x40)),
+        RequestDesc::nt_store(Addr::new(0x1000)),
+        RequestDesc::store(Addr::new(0x2_0040)),
+        RequestDesc::load(Addr::new(0x40_0080)),
+        RequestDesc::nt_store(Addr::new(0x3000)),
+    ];
+    for kind in BackendKind::ALL {
+        let build = || {
+            nvsim::backends::build_backend(kind, &BackendConfig::default())
+                .expect("default config builds")
+        };
+        let (mut a, mut b) = (build(), build());
+        let ids: Vec<ReqId> = descs.iter().map(|&d| a.submit(d)).collect();
+        let twin_ids: Vec<ReqId> = descs.iter().map(|&d| b.submit(d)).collect();
+        assert_eq!(ids, twin_ids, "{kind}");
+
+        let subset = [ids[3], ids[0], ids[4]];
+        let in_order: Vec<_> = subset.iter().map(|&id| a.try_take_completion(id)).collect();
+        let mut reversed: Vec<_> = subset
+            .iter()
+            .rev()
+            .map(|&id| b.try_take_completion(id))
+            .collect();
+        reversed.reverse();
+        assert_eq!(in_order, reversed, "{kind}");
+        assert!(in_order.iter().all(Result::is_ok), "{kind}: {in_order:?}");
+
+        let never = ReqId(ids[4].0 + 1_000);
+        for id in subset.into_iter().chain([never]) {
+            assert_eq!(
+                a.try_take_completion(id),
+                Err(BackendError::UnknownRequest(id)),
+                "{kind}"
+            );
+            assert_eq!(
+                b.try_take_completion(id),
+                Err(BackendError::UnknownRequest(id)),
+                "{kind}"
+            );
+        }
+        assert_eq!(a.drain(), b.drain(), "{kind}");
+    }
+}

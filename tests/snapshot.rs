@@ -14,7 +14,7 @@ use nvsim::backends::build_backend;
 use nvsim::prelude::*;
 use nvsim::types::snapshot::{restore_blob, save_blob, SnapshotErrorKind, MAGIC, VERSION};
 use nvsim::types::trace::JsonlSink;
-use nvsim::types::DetRng;
+use nvsim::types::{DetRng, ReqId};
 use nvsim::vans::{LazyCacheConfig, MemorySystem, PreTranslationConfig, VansConfig};
 use nvsim::workloads::cloud::fig13_workloads;
 use nvsim::workloads::SpecWorkloadGen;
@@ -370,6 +370,75 @@ fn golden_bytes_every_backend_kind() {
             (kind, blob.len(), fnv1a64(&blob), b.now().as_ps())
         })
         .collect();
+    assert_eq!(got, want);
+}
+
+/// The in-flight sets behind [`golden_in_flight_every_backend_kind`]:
+/// eight requests submitted without waiting, the clock moved on, three of
+/// them taken out of order (a middle one, the newest, an older one), then
+/// three more submitted. Returns the blobs saved after the takes (the
+/// newest taken, older ones in flight) and after the last submits (the
+/// newest in flight).
+fn golden_in_flight_stream(b: &mut dyn MemoryBackend) -> [Vec<u8>; 2] {
+    let mut rng = DetRng::seed_from(0x1f11);
+    let mut submit = |b: &mut dyn MemoryBackend, i: u64| {
+        let addr = Addr::new(rng.range_u64(0, (8 << 20) / 64) * 64);
+        b.submit(match i % 3 {
+            0 => RequestDesc::load(addr),
+            1 => RequestDesc::new(addr, 64, MemOp::NtStore),
+            _ => RequestDesc::new(addr, 64, MemOp::Store),
+        })
+    };
+    let ids: Vec<ReqId> = (0..8).map(|i| submit(b, i)).collect();
+    b.skip_to(Time::from_ns(250));
+    for i in [4, 7, 1] {
+        b.try_take_completion(ids[i])
+            .unwrap_or_else(|e| panic!("{}: {e}", b.label()));
+    }
+    let taken = b.save_snapshot().expect("every kind supports snapshots");
+    for i in 8..11 {
+        submit(b, i);
+    }
+    let newest = b.save_snapshot().expect("every kind supports snapshots");
+    [taken, newest]
+}
+
+/// In-flight encodings of every backend kind: `(kind, blob length, blob
+/// FNV-1a 64, clock in ps)` at the last cut of
+/// [`golden_in_flight_stream`], and for VANS also at the cut after the
+/// takes, the other branch of its has-newest flag. Each blob restores
+/// into a fresh backend that saves the same bytes again.
+#[test]
+fn golden_in_flight_every_backend_kind() {
+    use BackendKind::*;
+    let want: [(BackendKind, usize, u64, u64); 9] = [
+        (Vans, 490, 0xebeb_35c3_f55b_8b79, 250_000),
+        (Vans, 558, 0xf355_94d1_ef8f_266a, 250_000),
+        (VansMemoryMode, 1_003, 0x36d9_99a1_af46_de0e, 250_000),
+        (OptaneReference, 82, 0x73f9_a27e_84af_83a3, 250_000),
+        (DramDdr4, 793, 0xd8a2_147d_0612_4294, 250_000),
+        (DramDdr3, 358, 0x8842_b4f8_482e_172c, 250_000),
+        (RamulatorPcm, 240, 0x137f_8298_eda4_e280, 250_000),
+        (Pmep, 802, 0xf3df_a2e9_2a00_f655, 250_000),
+        (FixedLatency, 59, 0xb243_4bd8_503e_82d7, 250_000),
+    ];
+    let build = |kind| build_backend(kind, &BackendConfig::default()).expect("default config");
+    let mut got = Vec::new();
+    for kind in BackendKind::ALL {
+        let mut b = build(kind);
+        let [taken, newest] = golden_in_flight_stream(b.as_mut());
+        let cuts = if kind == Vans {
+            vec![taken, newest]
+        } else {
+            vec![newest]
+        };
+        for blob in cuts {
+            let mut restored = build(kind);
+            assert_eq!(restored.restore_snapshot(&blob), Ok(true), "{kind}");
+            assert_eq!(restored.save_snapshot(), Some(blob.clone()), "{kind}");
+            got.push((kind, blob.len(), fnv1a64(&blob), restored.now().as_ps()));
+        }
+    }
     assert_eq!(got, want);
 }
 
