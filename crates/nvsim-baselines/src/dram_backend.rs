@@ -5,10 +5,9 @@ use nvsim_types::snapshot::{
     restore_blob, save_blob, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use nvsim_types::{
-    BackendCounters, BackendError, ConfigError, MemOp, MemoryBackend, ReqId, RequestDesc, Time,
-    CACHE_LINE,
+    BackendCounters, BackendError, ConfigError, InFlight, MemOp, MemoryBackend, ReqId, RequestDesc,
+    Time, CACHE_LINE,
 };
-use std::collections::BTreeMap;
 
 /// A memory backend that forwards every request straight to a DDR timing
 /// model — the way pre-Optane studies modeled NVRAM ("a slower DRAM").
@@ -36,7 +35,7 @@ pub struct DramBackend {
     controller_latency: Time,
     now: Time,
     next_id: u64,
-    completions: BTreeMap<ReqId, Time>,
+    in_flight: InFlight,
     counters: BackendCounters,
 }
 
@@ -52,19 +51,14 @@ impl DramBackend {
             controller_latency: Time::from_ns(crate::params::DRAM_CONTROLLER_NS),
             now: Time::ZERO,
             next_id: 0,
-            completions: BTreeMap::new(),
+            in_flight: InFlight::default(),
             counters: BackendCounters::default(),
         })
     }
 
-    /// Access to the inner DRAM model (e.g. for command traces).
-    pub fn dram(&self) -> &DramModel {
-        &self.dram
-    }
-
-    /// Mutable access to the inner DRAM model.
-    pub fn dram_mut(&mut self) -> &mut DramModel {
-        &mut self.dram
+    /// The id the next submitted request gets.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id
     }
 
     fn access_lines(&mut self, desc: &RequestDesc, write: bool) -> Time {
@@ -107,22 +101,16 @@ impl MemoryBackend for DramBackend {
                 self.access_lines(&desc, true)
             }
         };
-        self.completions.insert(id, done);
+        self.in_flight.push(id, done);
         id
     }
 
     fn try_take_completion(&mut self, id: ReqId) -> Result<Time, BackendError> {
-        self.completions
-            .remove(&id)
-            .ok_or(BackendError::UnknownRequest(id))
+        self.in_flight.take(id)
     }
 
     fn drain(&mut self) -> Time {
-        let last = std::mem::take(&mut self.completions)
-            .into_values()
-            .max()
-            .unwrap_or(self.now);
-        self.now = self.now.max(last);
+        self.now = self.in_flight.drain(self.now);
         self.now
     }
 
@@ -158,11 +146,7 @@ impl Snapshot for DramBackend {
         w.put_time(self.controller_latency);
         w.put_time(self.now);
         w.put_u64(self.next_id);
-        w.put_usize(self.completions.len());
-        for (&id, &t) in &self.completions {
-            w.put_u64(id.0);
-            w.put_time(t);
-        }
+        self.in_flight.save(w);
         self.counters.save(w);
     }
 
@@ -172,16 +156,8 @@ impl Snapshot for DramBackend {
         self.controller_latency = r.get_time()?;
         self.now = r.get_time()?;
         self.next_id = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(r.invalid("completion count exceeds the blob"));
-        }
-        self.completions.clear();
-        for _ in 0..n {
-            let id = ReqId(r.get_u64()?);
-            let t = r.get_time()?;
-            self.completions.insert(id, t);
-        }
+        self.in_flight.restore(r)?;
+        self.in_flight.check_issued(self.next_id, r)?;
         self.counters.restore(r)?;
         Ok(())
     }

@@ -17,7 +17,8 @@ use nvsim_types::snapshot::{
     restore_blob, save_blob, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use nvsim_types::{
-    BackendCounters, BackendError, ConfigError, MemOp, MemoryBackend, ReqId, RequestDesc, Time,
+    BackendCounters, BackendError, ConfigError, InFlight, MemOp, MemoryBackend, ReqId, RequestDesc,
+    Time,
 };
 use serde::{Deserialize, Serialize};
 
@@ -61,7 +62,7 @@ pub struct PmepBackend {
     /// Token-bucket state per write flavor (store / clwb / nt).
     throttle_free: [Time; 3],
     /// Completion times including the injected delay.
-    pending: Vec<(ReqId, Time)>,
+    in_flight: InFlight,
 }
 
 impl PmepBackend {
@@ -77,7 +78,7 @@ impl PmepBackend {
             inner: DramBackend::new(dram_cfg)?,
             cfg,
             throttle_free: [Time::ZERO; 3],
-            pending: Vec::new(),
+            in_flight: InFlight::default(),
         })
     }
 
@@ -123,24 +124,17 @@ impl MemoryBackend for PmepBackend {
         // Push the completion out by the injected delay (without
         // advancing the clock, so independent requests overlap).
         let done = self.inner.expect_completion(id);
-        self.pending.push((id, done + extra));
+        self.in_flight.push(id, done + extra);
         id
     }
 
     fn try_take_completion(&mut self, id: ReqId) -> Result<Time, BackendError> {
-        let pos = self
-            .pending
-            .iter()
-            .position(|&(i, _)| i == id)
-            .ok_or(BackendError::UnknownRequest(id))?;
-        let (_, done) = self.pending.remove(pos);
-        Ok(done)
+        self.in_flight.take(id)
     }
 
     fn drain(&mut self) -> Time {
-        if let Some(last) = self.pending.drain(..).map(|(_, t)| t).max() {
-            self.inner.skip_to(last);
-        }
+        let last = self.in_flight.drain(self.inner.now());
+        self.inner.skip_to(last);
         self.inner.now()
     }
 
@@ -176,11 +170,7 @@ impl Snapshot for PmepBackend {
         for &t in &self.throttle_free {
             w.put_time(t);
         }
-        w.put_usize(self.pending.len());
-        for &(id, t) in &self.pending {
-            w.put_u64(id.0);
-            w.put_time(t);
-        }
+        self.in_flight.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
@@ -189,17 +179,9 @@ impl Snapshot for PmepBackend {
         for t in &mut self.throttle_free {
             *t = r.get_time()?;
         }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(r.invalid("pending-completion count exceeds the blob"));
-        }
-        self.pending.clear();
-        for _ in 0..n {
-            let id = ReqId(r.get_u64()?);
-            let t = r.get_time()?;
-            self.pending.push((id, t));
-        }
-        Ok(())
+        // Ids come from the inner backend.
+        self.in_flight.restore(r)?;
+        self.in_flight.check_issued(self.inner.next_id(), r)
     }
 }
 

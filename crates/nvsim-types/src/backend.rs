@@ -611,6 +611,160 @@ impl Snapshot for BackendCounters {
     }
 }
 
+/// The completion times a backend has computed but not yet handed back,
+/// in ascending request-id order.
+///
+/// Backends hand out ascending ids, and drivers take a completion right
+/// after submitting it, so [`take`](InFlight::take) looks at the newest
+/// entry first and binary-searches the rest. The snapshot encoding is
+/// `usize n, n × (u64 id, time)`; a restored list must strictly ascend,
+/// and [`check_issued`](InFlight::check_issued) rejects an id the backend
+/// has not handed out yet.
+#[derive(Debug, Clone, Default)]
+pub struct InFlight {
+    entries: Vec<(ReqId, Time)>,
+}
+
+impl InFlight {
+    /// Records that request `id`, newer than every held one, completes
+    /// at `done`.
+    pub fn push(&mut self, id: ReqId, done: Time) {
+        debug_assert!(
+            self.entries.last().is_none_or(|&(newest, _)| newest < id),
+            "{id} is not newer than every in-flight request"
+        );
+        self.entries.push((id, done));
+    }
+
+    /// Removes request `id` and returns its completion time.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError::UnknownRequest`] if `id` is not held: never
+    /// submitted or already taken.
+    pub fn take(&mut self, id: ReqId) -> Result<Time, BackendError> {
+        match self.entries.last() {
+            Some(&(newest, done)) if newest == id => {
+                self.entries.pop();
+                Ok(done)
+            }
+            _ => {
+                let pos = self
+                    .entries
+                    .binary_search_by_key(&id, |&(i, _)| i)
+                    .map_err(|_| BackendError::UnknownRequest(id))?;
+                Ok(self.entries.remove(pos).1)
+            }
+        }
+    }
+
+    /// Empties the store; returns the latest of `now` and every held
+    /// completion time.
+    pub fn drain(&mut self, now: Time) -> Time {
+        self.entries
+            .drain(..)
+            .fold(now, |last, (_, done)| last.max(done))
+    }
+
+    /// Rejects a restored list holding an id at or past `next_id`, the
+    /// next id the backend hands out: a later request would find that
+    /// id's completion instead of its own.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotErrorKind::Invalid`](crate::snapshot::SnapshotErrorKind::Invalid)
+    /// at `r`'s offset.
+    pub fn check_issued(&self, next_id: u64, r: &SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        if self
+            .entries
+            .last()
+            .is_some_and(|&(newest, _)| newest.0 >= next_id)
+        {
+            return Err(r.invalid("in-flight id not yet handed out"));
+        }
+        Ok(())
+    }
+
+    /// Saves in the has-newest layout: a flag, then `(u64 id, time)` of
+    /// request `next_id - 1` if it is held, then the older entries in the
+    /// [`Snapshot`] encoding.
+    pub fn save_newest_flagged(&self, next_id: u64, w: &mut SnapshotWriter) {
+        match self.entries.split_last() {
+            Some((&(id, done), older)) if id.0.checked_add(1) == Some(next_id) => {
+                w.put_bool(true);
+                w.put_u64(id.0);
+                w.put_time(done);
+                save_entries(older, w);
+            }
+            _ => {
+                w.put_bool(false);
+                save_entries(&self.entries, w);
+            }
+        }
+    }
+
+    /// Restores what [`save_newest_flagged`](InFlight::save_newest_flagged)
+    /// wrote for the same `next_id`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotErrorKind::Invalid`](crate::snapshot::SnapshotErrorKind::Invalid)
+    /// if a flagged entry is not request `next_id - 1` or an older entry
+    /// is not below it, and every error of the [`Snapshot`] restore.
+    pub fn restore_newest_flagged(
+        &mut self,
+        next_id: u64,
+        r: &mut SnapshotReader<'_>,
+    ) -> Result<(), SnapshotError> {
+        let newest = if r.get_bool()? {
+            Some((ReqId(r.get_u64()?), r.get_time()?))
+        } else {
+            None
+        };
+        self.restore(r)?;
+        self.check_issued(next_id.saturating_sub(1), r)?;
+        if let Some((id, done)) = newest {
+            if id.0.checked_add(1) != Some(next_id) {
+                return Err(r.invalid("flagged in-flight id is not the newest handed out"));
+            }
+            self.entries.push((id, done));
+        }
+        Ok(())
+    }
+}
+
+/// Writes `usize n, n × (u64 id, time)`.
+fn save_entries(entries: &[(ReqId, Time)], w: &mut SnapshotWriter) {
+    w.put_usize(entries.len());
+    for &(id, done) in entries {
+        w.put_u64(id.0);
+        w.put_time(done);
+    }
+}
+
+impl Snapshot for InFlight {
+    fn save(&self, w: &mut SnapshotWriter) {
+        save_entries(&self.entries, w);
+    }
+
+    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let n = r.get_usize()?;
+        if n > r.remaining() {
+            return Err(r.invalid("in-flight count exceeds the blob"));
+        }
+        self.entries.clear();
+        for _ in 0..n {
+            let id = ReqId(r.get_u64()?);
+            let done = r.get_time()?;
+            if self.entries.last().is_some_and(|&(older, _)| older >= id) {
+                return Err(r.invalid("in-flight ids do not strictly ascend"));
+            }
+            self.entries.push((id, done));
+        }
+        Ok(())
+    }
+}
+
 /// A trivial fixed-latency backend, useful in tests of driver code.
 ///
 /// Reads and writes complete a constant latency after they are submitted,
@@ -634,7 +788,7 @@ pub struct FixedLatencyBackend {
     write_latency: Time,
     now: Time,
     next_id: u64,
-    inflight: Vec<(ReqId, Time)>,
+    in_flight: InFlight,
     counters: BackendCounters,
 }
 
@@ -646,7 +800,7 @@ impl FixedLatencyBackend {
             write_latency,
             now: Time::ZERO,
             next_id: 0,
-            inflight: Vec::new(),
+            in_flight: InFlight::default(),
             counters: BackendCounters::default(),
         }
     }
@@ -680,28 +834,16 @@ impl MemoryBackend for FixedLatencyBackend {
                 self.write_latency
             }
         };
-        self.inflight.push((id, self.now + latency));
+        self.in_flight.push(id, self.now + latency);
         id
     }
 
     fn try_take_completion(&mut self, id: ReqId) -> Result<Time, BackendError> {
-        let pos = self
-            .inflight
-            .iter()
-            .position(|&(i, _)| i == id)
-            .ok_or(BackendError::UnknownRequest(id))?;
-        let (_, done) = self.inflight.remove(pos);
-        Ok(done)
+        self.in_flight.take(id)
     }
 
     fn drain(&mut self) -> Time {
-        let last = self
-            .inflight
-            .drain(..)
-            .map(|(_, t)| t)
-            .max()
-            .unwrap_or(self.now);
-        self.now = self.now.max(last);
+        self.now = self.in_flight.drain(self.now);
         self.now
     }
 
@@ -735,11 +877,7 @@ impl Snapshot for FixedLatencyBackend {
         w.section(SECTION_FIXED_LATENCY);
         w.put_time(self.now);
         w.put_u64(self.next_id);
-        w.put_usize(self.inflight.len());
-        for &(id, done) in &self.inflight {
-            w.put_u64(id.0);
-            w.put_time(done);
-        }
+        self.in_flight.save(w);
         self.counters.save(w);
     }
 
@@ -747,17 +885,8 @@ impl Snapshot for FixedLatencyBackend {
         r.expect_section(SECTION_FIXED_LATENCY)?;
         self.now = r.get_time()?;
         self.next_id = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(r.invalid("in-flight count exceeds payload"));
-        }
-        self.inflight.clear();
-        self.inflight.reserve(n);
-        for _ in 0..n {
-            let id = ReqId(r.get_u64()?);
-            let done = r.get_time()?;
-            self.inflight.push((id, done));
-        }
+        self.in_flight.restore(r)?;
+        self.in_flight.check_issued(self.next_id, r)?;
         self.counters.restore(r)
     }
 }
@@ -948,6 +1077,77 @@ mod tests {
             copy.execute(RequestDesc::load(Addr::new(128))),
             m.execute(RequestDesc::load(Addr::new(128)))
         );
+    }
+
+    #[test]
+    fn in_flight_takes_each_held_id_once() {
+        let mut s = InFlight::default();
+        for i in 0..6 {
+            s.push(ReqId(i), Time::from_ns(10 * i));
+        }
+        assert_eq!(s.take(ReqId(5)), Ok(Time::from_ns(50)));
+        assert_eq!(s.take(ReqId(2)), Ok(Time::from_ns(20)));
+        assert_eq!(s.take(ReqId(0)), Ok(Time::ZERO));
+        for id in [ReqId(2), ReqId(5), ReqId(9)] {
+            assert_eq!(s.take(id), Err(BackendError::UnknownRequest(id)));
+        }
+        assert_eq!(s.drain(Time::from_ns(7)), Time::from_ns(40));
+        assert_eq!(s.drain(Time::from_ns(7)), Time::from_ns(7));
+    }
+
+    /// A framed fixed-latency blob: clock zero, `next_id`, the in-flight
+    /// list `(id, ns)` as given, zero counters.
+    fn fixed_blob(next_id: u64, in_flight: &[(u64, u64)]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.section(SECTION_FIXED_LATENCY);
+        w.put_time(Time::ZERO);
+        w.put_u64(next_id);
+        w.put_usize(in_flight.len());
+        for &(id, ns) in in_flight {
+            w.put_u64(id);
+            w.put_time(Time::from_ns(ns));
+        }
+        BackendCounters::default().save(&mut w);
+        let mut blob = crate::snapshot::MAGIC.to_vec();
+        blob.push(crate::snapshot::VERSION);
+        blob.extend(w.into_bytes());
+        blob
+    }
+
+    fn is_invalid(r: Result<bool, SnapshotError>) -> bool {
+        matches!(
+            r,
+            Err(SnapshotError {
+                kind: crate::snapshot::SnapshotErrorKind::Invalid(_),
+                ..
+            })
+        )
+    }
+
+    #[test]
+    fn restore_rejects_an_in_flight_id_not_yet_handed_out() {
+        let mut m = mem();
+        assert!(m.restore_snapshot(&fixed_blob(1, &[(0, 999)])).unwrap());
+        // Request 0 at 999 ns, with id 0 still to be handed out, would
+        // answer the next load's take with 999 ns instead of 100 ns.
+        assert!(is_invalid(m.restore_snapshot(&fixed_blob(0, &[(0, 999)]))));
+        assert!(is_invalid(
+            m.restore_snapshot(&fixed_blob(3, &[(1, 5), (3, 9)]))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_a_duplicate_in_flight_id() {
+        let mut m = mem();
+        assert!(m
+            .restore_snapshot(&fixed_blob(6, &[(2, 7), (5, 9)]))
+            .unwrap());
+        assert!(is_invalid(
+            m.restore_snapshot(&fixed_blob(6, &[(5, 7), (5, 9)]))
+        ));
+        assert!(is_invalid(
+            m.restore_snapshot(&fixed_blob(6, &[(5, 7), (2, 9)]))
+        ));
     }
 
     #[test]

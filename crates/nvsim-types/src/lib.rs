@@ -59,7 +59,9 @@ pub mod time;
 pub mod trace;
 
 pub use addr::{Addr, VirtAddr, CACHE_LINE, CACHE_LINE_U32, PAGE_SIZE};
-pub use backend::{BackendConfig, BackendCounters, BackendKind, MemoryBackend, SessionOptions};
+pub use backend::{
+    BackendConfig, BackendCounters, BackendKind, InFlight, MemoryBackend, SessionOptions,
+};
 pub use durability::{CrashCounters, CrashImage, Durability, FaultPlan, PersistEvent, ResolvedCut};
 pub use error::{BackendError, ConfigError};
 pub use request::{MemOp, ReqId, Request, RequestDesc};

@@ -13,7 +13,7 @@ use nvsim_types::snapshot::{
     restore_blob, save_blob, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use nvsim_types::{
-    Addr, BackendCounters, BackendError, MemOp, MemoryBackend, ReqId, RequestDesc, Time,
+    Addr, BackendCounters, BackendError, InFlight, MemOp, MemoryBackend, ReqId, RequestDesc, Time,
 };
 use std::collections::BTreeMap;
 
@@ -25,7 +25,7 @@ pub struct ReferenceBackend {
     dimms: u32,
     now: Time,
     next_id: u64,
-    completions: BTreeMap<ReqId, Time>,
+    in_flight: InFlight,
     counters: BackendCounters,
     /// Footprint tracking: lowest/highest line index seen since reset.
     lo_line: Option<u64>,
@@ -43,17 +43,12 @@ impl ReferenceBackend {
             dimms,
             now: Time::ZERO,
             next_id: 0,
-            completions: BTreeMap::new(),
+            in_flight: InFlight::default(),
             counters: BackendCounters::default(),
             lo_line: None,
             hi_line: None,
             block_writes: BTreeMap::new(),
         }
-    }
-
-    /// The underlying analytical model.
-    pub fn model(&self) -> &OptaneReference {
-        &self.model
     }
 
     /// Clears the footprint window (call between experiment phases).
@@ -127,22 +122,16 @@ impl MemoryBackend for ReferenceBackend {
         }
         let lat = self.latency_for(&desc);
         let done = self.now + lat;
-        self.completions.insert(id, done);
+        self.in_flight.push(id, done);
         id
     }
 
     fn try_take_completion(&mut self, id: ReqId) -> Result<Time, BackendError> {
-        self.completions
-            .remove(&id)
-            .ok_or(BackendError::UnknownRequest(id))
+        self.in_flight.take(id)
     }
 
     fn drain(&mut self) -> Time {
-        let last = std::mem::take(&mut self.completions)
-            .into_values()
-            .max()
-            .unwrap_or(self.now);
-        self.now = self.now.max(last);
+        self.now = self.in_flight.drain(self.now);
         self.now
     }
 
@@ -197,11 +186,7 @@ impl Snapshot for ReferenceBackend {
         w.put_u32(self.dimms);
         w.put_time(self.now);
         w.put_u64(self.next_id);
-        w.put_usize(self.completions.len());
-        for (&id, &t) in &self.completions {
-            w.put_u64(id.0);
-            w.put_time(t);
-        }
+        self.in_flight.save(w);
         self.counters.save(w);
         w.put_bool(self.lo_line.is_some());
         w.put_u64(self.lo_line.unwrap_or(0));
@@ -222,16 +207,8 @@ impl Snapshot for ReferenceBackend {
         }
         self.now = r.get_time()?;
         self.next_id = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(r.invalid("completion count exceeds the blob"));
-        }
-        self.completions.clear();
-        for _ in 0..n {
-            let id = ReqId(r.get_u64()?);
-            let t = r.get_time()?;
-            self.completions.insert(id, t);
-        }
+        self.in_flight.restore(r)?;
+        self.in_flight.check_issued(self.next_id, r)?;
         self.counters.restore(r)?;
         let has_lo = r.get_bool()?;
         let lo = r.get_u64()?;

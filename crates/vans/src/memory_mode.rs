@@ -13,8 +13,8 @@ use nvsim_types::snapshot::{
     restore_blob, save_blob, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use nvsim_types::{
-    Addr, BackendCounters, BackendError, ConfigError, MemOp, MemoryBackend, ReqId, RequestDesc,
-    SessionOptions, Time, CACHE_LINE,
+    Addr, BackendCounters, BackendError, ConfigError, InFlight, MemOp, MemoryBackend, ReqId,
+    RequestDesc, SessionOptions, Time, CACHE_LINE,
 };
 #[expect(
     clippy::disallowed_types,
@@ -64,7 +64,7 @@ pub struct MemoryModeSystem {
     /// Number of cache sets (DRAM capacity / 64 B).
     sets: u64,
     /// In-flight completions of this wrapper.
-    pending: Vec<(ReqId, Time)>,
+    in_flight: InFlight,
     next_id: u64,
     stats: MemoryModeStats,
 }
@@ -91,7 +91,7 @@ impl MemoryModeSystem {
             #[expect(clippy::disallowed_types, reason = "see field docs: never iterated")]
             tags: HashMap::new(),
             sets,
-            pending: Vec::new(),
+            in_flight: InFlight::default(),
             next_id: 0,
             stats: MemoryModeStats::default(),
         })
@@ -100,11 +100,6 @@ impl MemoryModeSystem {
     /// Cache statistics.
     pub fn stats(&self) -> MemoryModeStats {
         self.stats
-    }
-
-    /// The NVRAM system behind the cache.
-    pub fn nvram(&self) -> &MemorySystem {
-        &self.nvram
     }
 
     /// Serves one line; returns the completion time.
@@ -199,27 +194,18 @@ impl MemoryBackend for MemoryModeSystem {
                 done
             }
         };
-        self.pending.push((ReqId(self.next_id), done));
+        let id = ReqId(self.next_id);
         self.next_id += 1;
-        ReqId(self.next_id - 1)
+        self.in_flight.push(id, done);
+        id
     }
 
     fn try_take_completion(&mut self, id: ReqId) -> Result<Time, BackendError> {
-        let pos = self
-            .pending
-            .iter()
-            .position(|&(i, _)| i == id)
-            .ok_or(BackendError::UnknownRequest(id))?;
-        Ok(self.pending.remove(pos).1)
+        self.in_flight.take(id)
     }
 
     fn drain(&mut self) -> Time {
-        let last = self
-            .pending
-            .drain(..)
-            .map(|(_, t)| t)
-            .max()
-            .unwrap_or_else(|| self.now());
+        let last = self.in_flight.drain(self.now());
         self.nvram.skip_to(last);
         self.nvram.drain()
     }
@@ -284,11 +270,7 @@ impl Snapshot for MemoryModeSystem {
             w.put_u64(tag);
             w.put_bool(dirty);
         }
-        w.put_usize(self.pending.len());
-        for &(id, t) in &self.pending {
-            w.put_u64(id.0);
-            w.put_time(t);
-        }
+        self.in_flight.save(w);
         w.put_u64(self.next_id);
         w.put_u64(self.stats.hits);
         w.put_u64(self.stats.misses);
@@ -314,17 +296,9 @@ impl Snapshot for MemoryModeSystem {
             let dirty = r.get_bool()?;
             self.tags.insert(set, (tag, dirty));
         }
-        let p = r.get_usize()?;
-        if p > r.remaining() {
-            return Err(r.invalid("pending-completion count exceeds the blob"));
-        }
-        self.pending.clear();
-        for _ in 0..p {
-            let id = ReqId(r.get_u64()?);
-            let t = r.get_time()?;
-            self.pending.push((id, t));
-        }
+        self.in_flight.restore(r)?;
         self.next_id = r.get_u64()?;
+        self.in_flight.check_issued(self.next_id, r)?;
         self.stats.hits = r.get_u64()?;
         self.stats.misses = r.get_u64()?;
         self.stats.writebacks = r.get_u64()?;

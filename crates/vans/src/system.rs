@@ -12,11 +12,10 @@ use nvsim_types::snapshot::{
 };
 use nvsim_types::trace::{LatencyBreakdown, RequestTrace, Stage, StageSpan, TraceSink};
 use nvsim_types::{
-    Addr, BackendCounters, BackendError, ConfigError, CrashImage, DetRng, FaultPlan, MemOp,
-    MemoryBackend, ReqId, RequestDesc, ResolvedCut, SessionOptions, Time, CACHE_LINE,
+    Addr, BackendCounters, BackendError, ConfigError, CrashImage, DetRng, FaultPlan, InFlight,
+    MemOp, MemoryBackend, ReqId, RequestDesc, ResolvedCut, SessionOptions, Time, CACHE_LINE,
     CACHE_LINE_U32,
 };
-use std::collections::BTreeMap;
 use std::io;
 
 /// The VANS memory system.
@@ -42,14 +41,9 @@ pub struct MemorySystem {
     pretrans: Option<PreTranslation>,
     now: Time,
     next_id: u64,
-    /// Completion time of the most recently submitted request. The
-    /// dominant driver pattern is submit-then-immediately-wait
-    /// ([`MemoryBackend::execute`]), which this single-entry slot serves
-    /// without ever touching the `completions` map.
-    last_completion: Option<(ReqId, Time)>,
-    /// Older in-flight completions (spilled from `last_completion` when
-    /// several requests overlap).
-    completions: BTreeMap<ReqId, Time>,
+    /// Completion times not yet taken; the snapshot flags the newest
+    /// request's entry ([`InFlight::save_newest_flagged`]).
+    in_flight: InFlight,
     /// Bus-level traffic counters (host side).
     bus_reads: u64,
     bus_writes: u64,
@@ -103,8 +97,7 @@ impl MemorySystem {
             pretrans: None,
             now: Time::ZERO,
             next_id: 0,
-            last_completion: None,
-            completions: BTreeMap::new(),
+            in_flight: InFlight::default(),
             bus_reads: 0,
             bus_writes: 0,
             bus_bytes_read: 0,
@@ -409,11 +402,7 @@ impl MemoryBackend for MemorySystem {
                 }
             }
         }
-        // Spill the previous occupant of the fast slot only when requests
-        // actually overlap; execute()-style drivers never reach the map.
-        if let Some((pid, pt)) = self.last_completion.replace((id, done)) {
-            self.completions.insert(pid, pt);
-        }
+        self.in_flight.push(id, done);
         if self.tracing {
             let mut spans = std::mem::take(&mut self.trace_scratch);
             spans.append(&mut self.pending_sys_spans);
@@ -440,26 +429,11 @@ impl MemoryBackend for MemorySystem {
     }
 
     fn try_take_completion(&mut self, id: ReqId) -> Result<Time, BackendError> {
-        if let Some((lid, lt)) = self.last_completion {
-            if lid == id {
-                self.last_completion = None;
-                return Ok(lt);
-            }
-        }
-        self.completions
-            .remove(&id)
-            .ok_or(BackendError::UnknownRequest(id))
+        self.in_flight.take(id)
     }
 
     fn drain(&mut self) -> Time {
-        let mut last = self.now;
-        if let Some((_, t)) = self.last_completion.take() {
-            last = last.max(t);
-        }
-        if let Some(t) = std::mem::take(&mut self.completions).into_values().max() {
-            last = last.max(t);
-        }
-        self.now = last;
+        self.now = self.in_flight.drain(self.now);
         self.now
     }
 
@@ -606,19 +580,7 @@ impl Snapshot for MemorySystem {
         w.section(SECTION_SYSTEM);
         w.put_time(self.now);
         w.put_u64(self.next_id);
-        match self.last_completion {
-            Some((id, t)) => {
-                w.put_bool(true);
-                w.put_u64(id.0);
-                w.put_time(t);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_usize(self.completions.len());
-        for (&id, &t) in &self.completions {
-            w.put_u64(id.0);
-            w.put_time(t);
-        }
+        self.in_flight.save_newest_flagged(self.next_id, w);
         w.put_u64(self.bus_reads);
         w.put_u64(self.bus_writes);
         w.put_u64(self.bus_bytes_read);
@@ -643,23 +605,7 @@ impl Snapshot for MemorySystem {
         r.expect_section(SECTION_SYSTEM)?;
         self.now = r.get_time()?;
         self.next_id = r.get_u64()?;
-        self.last_completion = if r.get_bool()? {
-            let id = ReqId(r.get_u64()?);
-            let t = r.get_time()?;
-            Some((id, t))
-        } else {
-            None
-        };
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(r.invalid("completion count exceeds payload"));
-        }
-        self.completions.clear();
-        for _ in 0..n {
-            let id = ReqId(r.get_u64()?);
-            let t = r.get_time()?;
-            self.completions.insert(id, t);
-        }
+        self.in_flight.restore_newest_flagged(self.next_id, r)?;
         self.bus_reads = r.get_u64()?;
         self.bus_writes = r.get_u64()?;
         self.bus_bytes_read = r.get_u64()?;
@@ -1018,6 +964,38 @@ mod tests {
         let blob2 = a.save_snapshot().unwrap();
         let err2 = no_pretrans.restore_snapshot(&blob2).unwrap_err();
         assert!(err2.to_string().contains("pre-translation"), "got: {err2}");
+    }
+
+    /// `blob` with its next-id field rewritten: the payload opens with
+    /// the one-byte section tag and the clock, zero here, in one byte.
+    fn with_next_id(mut blob: Vec<u8>, next_id: u8) -> Vec<u8> {
+        let payload = nvsim_types::snapshot::MAGIC.len() + 1;
+        assert_eq!(blob[payload..payload + 2], [SECTION_SYSTEM as u8, 0]);
+        blob[payload + 2] = next_id;
+        blob
+    }
+
+    #[test]
+    fn restore_rejects_in_flight_ids_that_contradict_the_next_id() {
+        // The newest request (id 0) is flagged; next id 1.
+        let mut a = sys();
+        a.submit(RequestDesc::load(Addr::new(0)));
+        let flagged = a.save_snapshot().unwrap();
+        assert!(sys().restore_snapshot(&flagged).unwrap());
+        let err = sys()
+            .restore_snapshot(&with_next_id(flagged, 2))
+            .unwrap_err();
+        assert!(err.to_string().contains("flagged"), "got: {err}");
+
+        // Request 1 taken, request 0 older and in flight; next id 2.
+        let mut b = sys();
+        b.submit(RequestDesc::load(Addr::new(0)));
+        let newest = b.submit(RequestDesc::load(Addr::new(64)));
+        b.try_take_completion(newest).unwrap();
+        let older = b.save_snapshot().unwrap();
+        assert!(sys().restore_snapshot(&older).unwrap());
+        let err = sys().restore_snapshot(&with_next_id(older, 1)).unwrap_err();
+        assert!(err.to_string().contains("not yet handed out"), "got: {err}");
     }
 
     #[test]
