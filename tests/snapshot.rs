@@ -511,8 +511,9 @@ fn golden_core_blob() {
     assert_eq!(save_blob(&core), save_blob(&core_b));
 }
 
-/// The workloads [`golden_workload_blobs`] pins: the six Fig 13
-/// generators in paper order, then one Table IV SPEC generator.
+/// The workloads [`golden_workload_blobs`] and [`golden_workload_traces`]
+/// pin: the six Fig 13 generators in paper order, then one Table IV SPEC
+/// generator.
 fn golden_workloads() -> Vec<Box<dyn Workload + Send>> {
     let mut all = fig13_workloads(0x3a1d);
     all.push(Box::new(SpecWorkloadGen::from_table_iv(
@@ -553,6 +554,38 @@ fn golden_workload_blobs() {
         got,
         want.map(|(name, len, fnv)| (name.to_owned(), len, fnv)),
         "name, blob length, blob digest"
+    );
+}
+
+/// Workload output: `(name, op count, encoded length, FNV-1a 64)` of the
+/// `trace_io` encoding of each generator's first 50 k instructions. The
+/// cursor blobs of [`golden_workload_blobs`] do not pin what a generator
+/// emits: YCSB draws one `f64` per key whatever key its Zipfian table
+/// maps it to, so a different table leaves the cursor unchanged. This
+/// test pins the ops themselves.
+#[test]
+fn golden_workload_traces() {
+    let want: [(&str, usize, usize, u64); 7] = [
+        ("FIO-write", 34_782, 102_777, 0x7d22_2ef0_7bce_fd75),
+        ("YCSB", 5_544, 15_908, 0x053e_1382_0d6d_69b8),
+        ("TPCC", 5_620, 23_605, 0x3d5e_ce49_cd37_b518),
+        ("HashMap", 6_806, 22_185, 0x7676_c9db_880e_e9f7),
+        ("Redis", 13_665, 64_655, 0xaea9_57aa_5837_a093),
+        ("LinkedList", 31_857, 155_245, 0xadbb_2af6_af9c_0a90),
+        ("mcf", 4_405, 16_451, 0x2d04_fb55_b1da_05c5),
+    ];
+    let got: Vec<_> = golden_workloads()
+        .iter_mut()
+        .map(|w| {
+            let ops = w.generate(50_000);
+            let bytes = nvsim::cpu::trace_io::encode(&ops);
+            (w.name().to_owned(), ops.len(), bytes.len(), fnv1a64(&bytes))
+        })
+        .collect();
+    assert_eq!(
+        got,
+        want.map(|(name, ops, len, fnv)| (name.to_owned(), ops, len, fnv)),
+        "name, op count, encoded length, encoding digest"
     );
 }
 
