@@ -60,6 +60,9 @@ struct Way {
 
 /// One set-associative, write-back, write-allocate cache level.
 ///
+/// The ways of every set live in one flat array, set by set; a line's
+/// low bits pick its set and the bits above them are its tag.
+///
 /// # Example
 ///
 /// ```
@@ -74,11 +77,21 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// `sets × ways` ways, set-major: set `s` holds
+    /// `ways[s * cfg.ways..(s + 1) * cfg.ways]`.
+    ways: Vec<Way>,
+    /// `sets - 1`; the set count is a power of two.
+    set_mask: u64,
+    /// `log2(sets)`.
+    // nvsim-lint: allow(snapshot-field-coverage) — construction-time configuration (log2 of the set count); never mutated, and restore checks the saved set count against `set_mask`.
+    set_shift: u32,
     clock: u64,
     hits: u64,
     misses: u64,
 }
+
+/// Bits of a line index: 64-bit addresses over 64 B lines.
+const LINE_INDEX_BITS: u32 = u64::BITS - CACHE_LINE.trailing_zeros();
 
 impl Cache {
     /// Creates a cache level.
@@ -88,10 +101,13 @@ impl Cache {
     /// Returns the configuration validation error, if any.
     pub fn new(cfg: CacheConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let sets = vec![vec![Way::default(); cfg.ways as usize]; cfg.sets() as usize];
+        let sets = cfg.sets();
+        let ways = vec![Way::default(); (sets * cfg.ways as u64) as usize];
         Ok(Cache {
             cfg,
-            sets,
+            ways,
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -114,11 +130,20 @@ impl Cache {
         self.misses = 0;
     }
 
+    /// Number of sets.
+    fn sets(&self) -> usize {
+        self.set_mask as usize + 1
+    }
+
     fn index(&self, addr: Addr) -> (usize, u64) {
         let line = addr.line_index();
-        let set = (line % self.cfg.sets()) as usize;
-        let tag = line / self.cfg.sets();
-        (set, tag)
+        ((line & self.set_mask) as usize, line >> self.set_shift)
+    }
+
+    /// The range of `ways` that holds set `set`.
+    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
+        let n = self.cfg.ways as usize;
+        set * n..(set + 1) * n
     }
 
     /// Accesses the line containing `addr`; allocates on miss. `write`
@@ -126,8 +151,8 @@ impl Cache {
     pub fn access(&mut self, addr: Addr, write: bool) -> CacheAccess {
         self.clock += 1;
         let (set_idx, tag) = self.index(addr);
-        let sets = self.cfg.sets();
-        let set = &mut self.sets[set_idx];
+        let range = self.set_range(set_idx);
+        let set = &mut self.ways[range];
         if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             w.stamp = self.clock;
             w.dirty |= write;
@@ -147,7 +172,7 @@ impl Cache {
         });
         let victim = set[victim_idx];
         let writeback = (victim.valid && victim.dirty)
-            .then(|| Addr::new((victim.tag * sets + set_idx as u64) * CACHE_LINE));
+            .then(|| Addr::new(((victim.tag << self.set_shift) | set_idx as u64) * CACHE_LINE));
         set[victim_idx] = Way {
             tag,
             valid: true,
@@ -163,15 +188,19 @@ impl Cache {
     /// True if the line containing `addr` is resident (no state change).
     pub fn probe(&self, addr: Addr) -> bool {
         let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        self.ways[self.set_range(set_idx)]
+            .iter()
+            .any(|w| w.valid && w.tag == tag)
     }
 
     /// Invalidates the line containing `addr`, returning whether it was
     /// dirty (clwb / nt-store behaviour).
     pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
         let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
-        let w = set.iter_mut().find(|w| w.valid && w.tag == tag)?;
+        let range = self.set_range(set_idx);
+        let w = self.ways[range]
+            .iter_mut()
+            .find(|w| w.valid && w.tag == tag)?;
         w.valid = false;
         Some(w.dirty)
     }
@@ -183,15 +212,13 @@ const SECTION_CACHE: u16 = 0x40;
 impl Snapshot for Cache {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section(SECTION_CACHE);
-        w.put_usize(self.sets.len());
+        w.put_usize(self.sets());
         w.put_u32(self.cfg.ways);
-        for set in &self.sets {
-            for way in set {
-                w.put_u64(way.tag);
-                w.put_bool(way.valid);
-                w.put_bool(way.dirty);
-                w.put_u64(way.stamp);
-            }
+        for way in &self.ways {
+            w.put_u64(way.tag);
+            w.put_bool(way.valid);
+            w.put_bool(way.dirty);
+            w.put_u64(way.stamp);
         }
         w.put_u64(self.clock);
         w.put_u64(self.hits);
@@ -202,15 +229,32 @@ impl Snapshot for Cache {
         r.expect_section(SECTION_CACHE)?;
         let sets = r.get_usize()?;
         let ways = r.get_u32()?;
-        if sets != self.sets.len() || ways != self.cfg.ways {
+        if sets != self.sets() || ways != self.cfg.ways {
             return Err(r.invalid("cache geometry differs from this configuration"));
         }
-        for set in &mut self.sets {
-            for way in set {
-                way.tag = r.get_u64()?;
-                way.valid = r.get_bool()?;
-                way.dirty = r.get_bool()?;
-                way.stamp = r.get_u64()?;
+        // A tag is a line index shifted right by the set bits, so no
+        // address reaches this bound; a larger one would overflow the
+        // write-back address on eviction.
+        let tag_limit = 1u64 << (LINE_INDEX_BITS - self.set_shift);
+        for set in self.ways.chunks_exact_mut(ways as usize) {
+            for i in 0..set.len() {
+                let way = Way {
+                    tag: r.get_u64()?,
+                    valid: r.get_bool()?,
+                    dirty: r.get_bool()?,
+                    stamp: r.get_u64()?,
+                };
+                if way.valid {
+                    if way.tag >= tag_limit {
+                        return Err(r.invalid("cache tag past any address's line"));
+                    }
+                    // `invalidate` clears one copy of a line, so a second
+                    // valid copy would stay resident after a clwb.
+                    if set[..i].iter().any(|w| w.valid && w.tag == way.tag) {
+                        return Err(r.invalid("cache line valid in two ways of one set"));
+                    }
+                }
+                set[i] = way;
             }
         }
         self.clock = r.get_u64()?;
@@ -393,6 +437,8 @@ impl Snapshot for CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvsim_types::snapshot::SnapshotErrorKind;
+    use nvsim_types::DetRng;
 
     fn l1() -> Cache {
         Cache::new(CacheConfig {
@@ -511,6 +557,242 @@ mod tests {
         let h = CacheHierarchy::new(HierarchyConfig::table_v()).unwrap();
         assert_eq!(h.l1.config().capacity, 32 << 10);
         assert_eq!(h.l3.config().sets(), (32 << 20) / (16 * 64));
+    }
+
+    /// A [`Cache`] blob of `sets × ways` ways, each from `way(set, way)`.
+    fn cache_blob(sets: usize, ways: u32, way: impl Fn(usize, u32) -> Way) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.section(SECTION_CACHE);
+        w.put_usize(sets);
+        w.put_u32(ways);
+        for s in 0..sets {
+            for i in 0..ways {
+                let way = way(s, i);
+                w.put_u64(way.tag);
+                w.put_bool(way.valid);
+                w.put_bool(way.dirty);
+                w.put_u64(way.stamp);
+            }
+        }
+        // Clock, hits, misses.
+        for _ in 0..3 {
+            w.put_u64(64);
+        }
+        w.into_bytes()
+    }
+
+    /// Restores `blob` into [`l1`] (16 sets of 4 ways).
+    fn restore_l1(blob: &[u8]) -> Result<Cache, SnapshotError> {
+        let mut c = l1();
+        c.restore(&mut SnapshotReader::new(blob))?;
+        Ok(c)
+    }
+
+    fn is_invalid<T>(r: Result<T, SnapshotError>) -> bool {
+        matches!(
+            r,
+            Err(SnapshotError {
+                kind: SnapshotErrorKind::Invalid(_),
+                ..
+            })
+        )
+    }
+
+    /// A valid, dirty `tag` at `(set, way)`; every other way empty.
+    fn lone_line(at: (usize, u32), tag: u64) -> impl Fn(usize, u32) -> Way {
+        move |s, i| Way {
+            tag,
+            valid: (s, i) == at,
+            dirty: true,
+            stamp: 1,
+        }
+    }
+
+    #[test]
+    fn restore_rejects_tags_no_address_produces() {
+        // 16 sets: a tag is a 58-bit line index without its 4 set bits.
+        let limit = 1u64 << 54;
+        let mut c = restore_l1(&cache_blob(16, 4, lone_line((15, 0), limit - 1)))
+            .expect("the largest tag an address produces restores");
+        // Four conflicting lines evict it to the last line of memory.
+        let evicted: Vec<_> = (1..=4u64)
+            .filter_map(|i| c.access(Addr::new((i * 16 + 15) * 64), false).writeback)
+            .collect();
+        assert_eq!(evicted, [Addr::new(u64::MAX - 63)]);
+        for tag in [limit, u64::MAX] {
+            assert!(is_invalid(restore_l1(&cache_blob(
+                16,
+                4,
+                lone_line((0, 0), tag)
+            ))));
+        }
+        // An invalid way keeps whatever tag it held last.
+        assert!(restore_l1(&cache_blob(16, 4, |_, _| Way {
+            tag: u64::MAX,
+            ..Way::default()
+        }))
+        .is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_a_line_valid_in_two_ways_of_one_set() {
+        let twice = |s: usize, i: u32| Way {
+            tag: 7,
+            valid: s == 3 && (i == 0 || i == 2),
+            dirty: true,
+            stamp: 1,
+        };
+        assert!(is_invalid(restore_l1(&cache_blob(16, 4, twice))));
+        // The same tag in two sets is two different lines.
+        let two_sets = |s: usize, i: u32| Way {
+            valid: (s == 3 || s == 4) && i == 0,
+            ..twice(s, i)
+        };
+        let mut c = restore_l1(&cache_blob(16, 4, two_sets)).expect("two lines restore");
+        let line = Addr::new((7 * 16 + 3) * 64);
+        assert_eq!(c.invalidate(line), Some(true));
+        assert!(!c.probe(line));
+    }
+
+    /// The arithmetic the flat array replaced: one `Vec` per set, sets
+    /// and tags by `%` and `/`.
+    struct DivCache {
+        sets: Vec<Vec<Way>>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl DivCache {
+        fn new(cfg: CacheConfig) -> Self {
+            DivCache {
+                sets: vec![vec![Way::default(); cfg.ways as usize]; cfg.sets() as usize],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn index(&self, addr: Addr) -> (usize, u64) {
+            let sets = self.sets.len() as u64;
+            let line = addr.line_index();
+            ((line % sets) as usize, line / sets)
+        }
+
+        fn access(&mut self, addr: Addr, write: bool) -> CacheAccess {
+            self.clock += 1;
+            let sets = self.sets.len() as u64;
+            let (set_idx, tag) = self.index(addr);
+            let set = &mut self.sets[set_idx];
+            if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+                w.stamp = self.clock;
+                w.dirty |= write;
+                self.hits += 1;
+                return CacheAccess {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            self.misses += 1;
+            let victim_idx = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
+                set.iter()
+                    .enumerate()
+                    .min_by_key(|(_, w)| w.stamp)
+                    .map_or(0, |(i, _)| i)
+            });
+            let victim = set[victim_idx];
+            let writeback = (victim.valid && victim.dirty)
+                .then(|| Addr::new((victim.tag * sets + set_idx as u64) * CACHE_LINE));
+            set[victim_idx] = Way {
+                tag,
+                valid: true,
+                dirty: write,
+                stamp: self.clock,
+            };
+            CacheAccess {
+                hit: false,
+                writeback,
+            }
+        }
+
+        fn probe(&self, addr: Addr) -> bool {
+            let (set_idx, tag) = self.index(addr);
+            self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        }
+
+        fn invalidate(&mut self, addr: Addr) -> Option<bool> {
+            let (set_idx, tag) = self.index(addr);
+            let w = self.sets[set_idx]
+                .iter_mut()
+                .find(|w| w.valid && w.tag == tag)?;
+            w.valid = false;
+            Some(w.dirty)
+        }
+
+        fn save(&self, ways: u32) -> Vec<u8> {
+            let mut w = SnapshotWriter::new();
+            w.section(SECTION_CACHE);
+            w.put_usize(self.sets.len());
+            w.put_u32(ways);
+            for way in self.sets.iter().flatten() {
+                w.put_u64(way.tag);
+                w.put_bool(way.valid);
+                w.put_bool(way.dirty);
+                w.put_u64(way.stamp);
+            }
+            w.put_u64(self.clock);
+            w.put_u64(self.hits);
+            w.put_u64(self.misses);
+            w.into_bytes()
+        }
+    }
+
+    fn saved(c: &Cache) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        c.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn matches_divide_and_modulo_reference() {
+        let (tiny, v) = (
+            HierarchyConfig::tiny_for_tests(),
+            HierarchyConfig::table_v(),
+        );
+        for cfg in [tiny.l1, tiny.l2, tiny.l3, v.l1, v.l2, v.l3] {
+            let mut c = Cache::new(cfg).unwrap();
+            let mut r = DivCache::new(cfg);
+            let mut rng = DetRng::seed_from(cfg.capacity ^ u64::from(cfg.ways));
+            // Lines this far apart share a set.
+            let period = cfg.sets() * CACHE_LINE;
+            for step in 0..20_000u64 {
+                let addr = Addr::new(match rng.range_u64(0, 4) {
+                    // Twice the capacity: hits and capacity misses.
+                    0 => rng.range_u64(0, 2 * cfg.capacity),
+                    // A few sets crowded past their ways: LRU evictions.
+                    1 => {
+                        rng.range_u64(0, 2 * u64::from(cfg.ways)) * period
+                            + rng.range_u64(0, 4) * CACHE_LINE
+                    }
+                    // The top of the address space: the widest tags.
+                    2 => u64::MAX - rng.range_u64(0, 64 * period),
+                    _ => rng.range_u64(0, 1 << 63),
+                });
+                let ctx = format!("{cfg:?} step {step} addr {addr:?}");
+                match rng.range_u64(0, 8) {
+                    0..=4 => {
+                        let write = rng.chance(0.4);
+                        assert_eq!(c.access(addr, write), r.access(addr, write), "{ctx}");
+                    }
+                    5 => assert_eq!(c.probe(addr), r.probe(addr), "{ctx}"),
+                    _ => assert_eq!(c.invalidate(addr), r.invalidate(addr), "{ctx}"),
+                }
+                if step % 5_000 == 4_999 {
+                    assert_eq!(saved(&c), r.save(cfg.ways), "{ctx}");
+                }
+            }
+            assert_eq!(c.hit_miss(), (r.hits, r.misses), "{cfg:?}");
+        }
     }
 
     #[test]
