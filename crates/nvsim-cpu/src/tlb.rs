@@ -5,8 +5,8 @@ use nvsim_types::{Addr, MemoryBackend, RequestDesc, Time, VirtAddr};
 use serde::{Deserialize, Serialize};
 #[expect(
     clippy::disallowed_types,
-    reason = "see `TlbArray::entries`: keyed lookups only; recency (the only observed \
-              order) lives in the `order` BTreeMap"
+    reason = "see `TlbArray::slots`: keyed lookups only; recency (the only observed \
+              order) lives in the node list"
 )]
 use std::collections::{BTreeMap, HashMap};
 
@@ -78,18 +78,38 @@ pub struct Translation {
     pub walked: bool,
 }
 
-#[derive(Debug, Clone, Default)]
+/// One resident translation of a [`TlbArray`], a link of its recency
+/// list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    vpn: u64,
+    /// The array's clock at the entry's last use.
+    stamp: u64,
+    /// Neighbour towards the most recently used end.
+    prev: u32,
+    /// Neighbour towards the least recently used end.
+    next: u32,
+}
+
+/// The list's sentinel: `nodes[HEAD].next` is the most recently used
+/// entry and `nodes[HEAD].prev` the least recently used one.
+const HEAD: u32 = 0;
+
+/// A fully associative LRU array of translations: a slab of nodes
+/// threaded from most to least recently used, and a `vpn → slot` map.
+/// A hit moves its node to the front; an insert into a full array
+/// recycles the tail node.
+#[derive(Debug, Clone)]
 struct TlbArray {
+    /// `nodes[0]` is the sentinel; entries live in `1..`. An entry is
+    /// only ever replaced, never removed, so the slab never has holes.
+    nodes: Vec<Node>,
     #[expect(
         clippy::disallowed_types,
-        reason = "never iterated; the LRU victim is chosen via the deterministic `order` \
-                  BTreeMap, not this map"
+        reason = "never iterated; the LRU victim is the tail of the node list, not \
+                  chosen from this map"
     )]
-    // nvsim-lint: allow(snapshot-field-coverage) — derived mirror of `order`; save serializes `order` alone and restore rebuilds this map from it.
-    entries: HashMap<u64, u64>, // vpn -> stamp
-    /// Recency index: stamp -> vpn (stamps are unique), for O(log n)
-    /// LRU eviction.
-    order: std::collections::BTreeMap<u64, u64>,
+    slots: HashMap<u64, u32>,
     // nvsim-lint: allow(snapshot-field-coverage) — construction-time configuration; restore validates the entry count against it.
     capacity: usize,
     clock: u64,
@@ -97,50 +117,113 @@ struct TlbArray {
 
 impl TlbArray {
     fn new(capacity: usize) -> Self {
+        let sentinel = Node {
+            vpn: 0,
+            stamp: 0,
+            prev: HEAD,
+            next: HEAD,
+        };
+        let mut nodes = Vec::with_capacity(capacity + 1);
+        nodes.push(sentinel);
         TlbArray {
+            nodes,
+            // Twice the capacity: removals and inserts then never make
+            // the map grow, at any hash seed.
             #[expect(clippy::disallowed_types, reason = "see field docs: never iterated")]
-            entries: HashMap::with_capacity(capacity + 1),
-            order: std::collections::BTreeMap::new(),
+            slots: HashMap::with_capacity(2 * capacity),
             capacity,
             clock: 0,
         }
     }
 
+    fn node(&mut self, slot: u32) -> &mut Node {
+        &mut self.nodes[slot as usize]
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        self.node(prev).next = next;
+        self.node(next).prev = prev;
+    }
+
+    /// Links `slot` in as the most recently used entry.
+    fn push_front(&mut self, slot: u32) {
+        let first = self.nodes[HEAD as usize].next;
+        let n = self.node(slot);
+        n.prev = HEAD;
+        n.next = first;
+        self.node(first).prev = slot;
+        self.node(HEAD).next = slot;
+    }
+
+    /// Re-stamps `slot` with the current clock and moves it to the front.
+    fn touch(&mut self, slot: u32) {
+        self.node(slot).stamp = self.clock;
+        self.unlink(slot);
+        self.push_front(slot);
+    }
+
+    /// Adds `vpn` as the most recently used entry, stamped `stamp`, in a
+    /// fresh node (the caller keeps the count within the capacity).
+    fn push(&mut self, vpn: u64, stamp: u64) -> u32 {
+        // nvsim-lint: allow(cast-truncation) — the slab holds at most capacity + 1 nodes, and capacities come from u32 entry counts.
+        let slot = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            vpn,
+            stamp,
+            prev: HEAD,
+            next: HEAD,
+        });
+        self.slots.insert(vpn, slot);
+        self.push_front(slot);
+        slot
+    }
+
     fn lookup(&mut self, vpn: u64) -> bool {
         self.clock += 1;
-        if let Some(stamp) = self.entries.get_mut(&vpn) {
-            self.order.remove(stamp);
-            *stamp = self.clock;
-            self.order.insert(self.clock, vpn);
-            true
-        } else {
-            false
+        match self.slots.get(&vpn) {
+            Some(&slot) => {
+                self.touch(slot);
+                true
+            }
+            None => false,
         }
     }
 
-    fn insert(&mut self, vpn: u64) {
+    /// Makes `vpn` the most recently used entry; returns the VPN it
+    /// evicted, if any.
+    fn insert(&mut self, vpn: u64) -> Option<u64> {
         self.clock += 1;
-        if let Some(stamp) = self.entries.get(&vpn) {
-            self.order.remove(stamp);
-        } else if self.entries.len() >= self.capacity {
-            if let Some((&stamp, &victim)) = self.order.iter().next() {
-                self.order.remove(&stamp);
-                self.entries.remove(&victim);
-            }
+        if let Some(&slot) = self.slots.get(&vpn) {
+            self.touch(slot);
+            return None;
         }
-        self.entries.insert(vpn, self.clock);
-        self.order.insert(self.clock, vpn);
+        let lru = self.nodes[HEAD as usize].prev;
+        if self.slots.len() >= self.capacity && lru != HEAD {
+            let victim = self.nodes[lru as usize].vpn;
+            self.slots.remove(&victim);
+            self.slots.insert(vpn, lru);
+            self.node(lru).vpn = vpn;
+            self.touch(lru);
+            Some(victim)
+        } else {
+            self.push(vpn, self.clock);
+            None
+        }
     }
 }
 
 impl Snapshot for TlbArray {
     fn save(&self, w: &mut SnapshotWriter) {
-        // `order` is stamp → vpn with unique stamps: saving it alone
-        // reconstructs `entries` exactly.
-        w.put_usize(self.order.len());
-        for (&stamp, &vpn) in &self.order {
-            w.put_u64(stamp);
-            w.put_u64(vpn);
+        // Tail to head: least to most recently used, which is ascending
+        // stamp order.
+        w.put_usize(self.slots.len());
+        let mut slot = self.nodes[HEAD as usize].prev;
+        while slot != HEAD {
+            let n = &self.nodes[slot as usize];
+            w.put_u64(n.stamp);
+            w.put_u64(n.vpn);
+            slot = n.prev;
         }
         w.put_u64(self.clock);
     }
@@ -153,29 +236,32 @@ impl Snapshot for TlbArray {
         if n > self.capacity {
             return Err(r.invalid("TLB entry count exceeds this configuration's capacity"));
         }
-        self.entries.clear();
-        self.order.clear();
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let stamp = r.get_u64()?;
             let vpn = r.get_u64()?;
-            self.entries.insert(vpn, stamp);
-            self.order.insert(stamp, vpn);
+            entries.push((stamp, vpn));
         }
-        if self.entries.len() != n {
-            return Err(r.invalid("duplicate VPNs in TLB snapshot"));
+        // `save` writes ascending stamps; any order of unique stamps
+        // rebuilds the same recency list.
+        entries.sort_unstable();
+        self.nodes.truncate(1);
+        self.nodes[HEAD as usize].prev = HEAD;
+        self.nodes[HEAD as usize].next = HEAD;
+        self.slots.clear();
+        for &(stamp, vpn) in &entries {
+            if self.slots.contains_key(&vpn) {
+                return Err(r.invalid("duplicate VPNs in TLB snapshot"));
+            }
+            self.push(vpn, stamp);
         }
         // `save` writes unique stamps, none past the clock; anything else
-        // would desynchronise `order` from `entries` and strand entries
-        // that LRU eviction can never reach.
-        if self.order.len() != n {
+        // would make the saved order differ from the recency order.
+        if entries.windows(2).any(|p| p[0].0 == p[1].0) {
             return Err(r.invalid("duplicate stamps in TLB snapshot"));
         }
         self.clock = r.get_u64()?;
-        if self
-            .order
-            .last_key_value()
-            .is_some_and(|(&stamp, _)| stamp > self.clock)
-        {
+        if entries.last().is_some_and(|&(stamp, _)| stamp > self.clock) {
             return Err(r.invalid("TLB stamp past the saved clock"));
         }
         Ok(())
@@ -381,6 +467,7 @@ mod tests {
     use super::*;
     use nvsim_types::backend::FixedLatencyBackend;
     use nvsim_types::snapshot::SnapshotErrorKind;
+    use nvsim_types::DetRng;
 
     fn mem() -> FixedLatencyBackend {
         FixedLatencyBackend::new(Time::from_ns(100), Time::from_ns(100))
@@ -516,6 +603,98 @@ mod tests {
             b.insert(vpn);
         }
         assert!((1..=4).all(|vpn| !b.lookup(vpn)));
+    }
+
+    /// The LRU array as a linear list of `(vpn, stamp)`: the reference
+    /// the slab and its recency list must match.
+    struct LinearLru {
+        entries: Vec<(u64, u64)>,
+        capacity: usize,
+        clock: u64,
+    }
+
+    impl LinearLru {
+        fn lookup(&mut self, vpn: u64) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            self.entries
+                .iter_mut()
+                .find(|e| e.0 == vpn)
+                .map(|e| e.1 = clock)
+                .is_some()
+        }
+
+        fn insert(&mut self, vpn: u64) -> Option<u64> {
+            self.clock += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
+                e.1 = self.clock;
+                return None;
+            }
+            let mut victim = None;
+            if self.entries.len() >= self.capacity && !self.entries.is_empty() {
+                let lru = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].1)
+                    .unwrap();
+                victim = Some(self.entries.swap_remove(lru).0);
+            }
+            self.entries.push((vpn, self.clock));
+            victim
+        }
+
+        /// `(stamp, vpn)` pairs, oldest first.
+        fn pairs(&self) -> Vec<(u64, u64)> {
+            let mut p: Vec<_> = self.entries.iter().map(|&(v, s)| (s, v)).collect();
+            p.sort_unstable();
+            p
+        }
+    }
+
+    fn saved(a: &TlbArray) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        a.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn matches_linear_reference() {
+        for capacity in [1usize, 4, 64, 1536] {
+            let mut a = TlbArray::new(capacity);
+            let mut r = LinearLru {
+                entries: Vec::new(),
+                capacity,
+                clock: 0,
+            };
+            let mut rng = DetRng::seed_from(capacity as u64);
+            // Narrow VPNs hit and evict within the array; wide ones
+            // almost never repeat.
+            let narrow = capacity as u64 * 3 / 2 + 2;
+            for step in 0..20_000u64 {
+                let vpn = if rng.chance(0.8) {
+                    rng.range_u64(0, narrow)
+                } else {
+                    rng.range_u64(0, 1 << 52)
+                };
+                match rng.range_u64(0, 16) {
+                    0..=7 => assert_eq!(a.lookup(vpn), r.lookup(vpn), "step {step}"),
+                    8..=14 => assert_eq!(a.insert(vpn), r.insert(vpn), "step {step}"),
+                    _ => {
+                        // Restore what `save` writes or, as any order of
+                        // unique stamps restores, the same pairs newest
+                        // first.
+                        let mut pairs = r.pairs();
+                        if rng.chance(0.5) {
+                            pairs.reverse();
+                        }
+                        let mut b = TlbArray::new(capacity);
+                        let blob = array_blob(&pairs, r.clock);
+                        b.restore(&mut SnapshotReader::new(&blob))
+                            .expect("unique stamps restore");
+                        a = b;
+                    }
+                }
+                assert_eq!(saved(&a), array_blob(&r.pairs(), r.clock), "step {step}");
+            }
+        }
     }
 
     #[test]
