@@ -25,6 +25,7 @@ use nvsim_types::snapshot::{
     restore_blob, save_blob, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use nvsim_types::{DetRng, VirtAddr};
+use std::sync::OnceLock;
 
 /// Common alias: virtual heap base for cloud workloads.
 const HEAP: u64 = 0x20_0000_0000;
@@ -52,7 +53,7 @@ pub fn fig13_workloads(seed: u64) -> Vec<CloudWorkload> {
 #[derive(Debug)]
 pub struct Redis {
     rng: DetRng,
-    // nvsim-lint: allow(snapshot-field-coverage) — immutable precomputed Zipfian CDF; the mutable sampling state is `rng`, which is snapshotted.
+    // nvsim-lint: allow(snapshot-field-coverage) — immutable precomputed Zipfian CDF, shared by every instance in the process; the mutable sampling state is `rng`, which is snapshotted.
     keys: Zipfian,
     /// Average chain length (nodes chased per op).
     // nvsim-lint: allow(snapshot-field-coverage) — construction-time constant; never mutated.
@@ -68,9 +69,11 @@ impl Redis {
     /// over a ~512 MB dataset (~50 MB of live nodes, beyond the LLC),
     /// 90% GET / 10% SET, chains of ~12 nodes (bucket + list + value).
     pub fn new(seed: u64) -> Self {
+        // The table depends on constants only: one per process.
+        static KEYS: OnceLock<Zipfian> = OnceLock::new();
         Redis {
             rng: DetRng::seed_from(seed ^ 0x5ed1),
-            keys: Zipfian::new(1 << 16, 0.3),
+            keys: KEYS.get_or_init(|| Zipfian::new(1 << 16, 0.3)).clone(),
             chain: 12,
             mkpt: false,
             lines: (512u64 << 20) / 64,
@@ -149,7 +152,7 @@ impl Workload for Redis {
 #[derive(Debug)]
 pub struct Ycsb {
     rng: DetRng,
-    // nvsim-lint: allow(snapshot-field-coverage) — immutable precomputed Zipfian CDF; the mutable sampling state is `rng`, which is snapshotted.
+    // nvsim-lint: allow(snapshot-field-coverage) — immutable precomputed Zipfian CDF, shared by every instance in the process; the mutable sampling state is `rng`, which is snapshotted.
     keys: Zipfian,
     mkpt: bool,
     // nvsim-lint: allow(snapshot-field-coverage) — construction-time constant; never mutated.
@@ -162,10 +165,12 @@ impl Ycsb {
     pub fn new(seed: u64) -> Self {
         // Record popularity is moderately skewed (θ=0.8): the extreme
         // write concentration of Fig 12b comes from the shared metadata
-        // lines, not from any single record.
+        // lines, not from any single record. The table depends on
+        // constants only: one per process.
+        static KEYS: OnceLock<Zipfian> = OnceLock::new();
         Ycsb {
             rng: DetRng::seed_from(seed ^ 0x5c5b),
-            keys: Zipfian::new(1 << 20, 0.8),
+            keys: KEYS.get_or_init(|| Zipfian::new(1 << 20, 0.8)).clone(),
             mkpt: false,
             records: 1 << 20,
         }

@@ -1,9 +1,13 @@
 //! Zipfian key sampling (YCSB's request distribution).
 
 use nvsim_types::DetRng;
+use std::sync::Arc;
 
 /// A Zipfian sampler over `0..n` with skew `theta`, using the
 /// inverse-CDF table method (exact, O(log n) per draw).
+///
+/// The table is immutable and shared: a clone costs a reference count,
+/// not a copy of the table.
 ///
 /// # Example
 ///
@@ -19,7 +23,7 @@ use nvsim_types::DetRng;
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     /// Cumulative probabilities; `cdf[i]` is P(rank <= i).
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
 
 impl Zipfian {
@@ -38,7 +42,9 @@ impl Zipfian {
             acc += *w / total;
             *w = acc;
         }
-        Zipfian { cdf: weights }
+        Zipfian {
+            cdf: weights.into(),
+        }
     }
 
     /// Number of keys.
