@@ -201,11 +201,6 @@ impl SessionOptions {
         self.trace_sink.take()
     }
 
-    /// Whether a trace sink is (still) present.
-    pub fn has_trace_sink(&self) -> bool {
-        self.trace_sink.is_some()
-    }
-
     /// The requested durability-tracking change, if any.
     pub fn durability_tracking_requested(&self) -> Option<bool> {
         self.durability_tracking

@@ -51,12 +51,6 @@ impl ReferenceBackend {
         }
     }
 
-    /// Clears the footprint window (call between experiment phases).
-    pub fn reset_footprint(&mut self) {
-        self.lo_line = None;
-        self.hi_line = None;
-    }
-
     fn observe(&mut self, addr: Addr) -> u64 {
         let line = addr.line_index();
         let lo = self.lo_line.map_or(line, |l| l.min(line));
@@ -276,17 +270,6 @@ mod tests {
             }
         }
         assert_eq!(tails, 10);
-    }
-
-    #[test]
-    fn footprint_reset_restores_fast_path() {
-        let mut b = backend();
-        b.execute(RequestDesc::load(Addr::new(0)));
-        b.execute(RequestDesc::load(Addr::new(128 << 20)));
-        b.reset_footprint();
-        let t0 = b.now();
-        let t1 = b.execute(RequestDesc::load(Addr::new(64)));
-        assert!(t1 - t0 < Time::from_ns(120));
     }
 
     #[test]

@@ -221,11 +221,6 @@ impl MemorySystem {
         self.supercap_budget
     }
 
-    /// Overrides the supercap hold-up budget.
-    pub fn set_supercap_budget(&mut self, budget: Time) {
-        self.supercap_budget = budget;
-    }
-
     /// Injects a power failure and returns the resulting [`CrashImage`].
     ///
     /// The simulated clock is frozen at the cut: the fault plan is
