@@ -165,7 +165,7 @@ impl TlbArray {
 
     /// Adds `vpn` as the most recently used entry, stamped `stamp`, in a
     /// fresh node (the caller keeps the count within the capacity).
-    fn push(&mut self, vpn: u64, stamp: u64) -> u32 {
+    fn push(&mut self, vpn: u64, stamp: u64) {
         // nvsim-lint: allow(cast-truncation) — the slab holds at most capacity + 1 nodes, and capacities come from u32 entry counts.
         let slot = self.nodes.len() as u32;
         self.nodes.push(Node {
@@ -176,7 +176,6 @@ impl TlbArray {
         });
         self.slots.insert(vpn, slot);
         self.push_front(slot);
-        slot
     }
 
     fn lookup(&mut self, vpn: u64) -> bool {
