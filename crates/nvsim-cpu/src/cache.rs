@@ -559,8 +559,14 @@ mod tests {
         assert_eq!(h.l3.config().sets(), (32 << 20) / (16 * 64));
     }
 
-    /// A [`Cache`] blob of `sets × ways` ways, each from `way(set, way)`.
-    fn cache_blob(sets: usize, ways: u32, way: impl Fn(usize, u32) -> Way) -> Vec<u8> {
+    /// A [`Cache`] blob of `sets × ways` ways, each from `way(set, way)`,
+    /// then the clock, hits and misses.
+    fn cache_blob(
+        sets: usize,
+        ways: u32,
+        way: impl Fn(usize, u32) -> Way,
+        counters: [u64; 3],
+    ) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.section(SECTION_CACHE);
         w.put_usize(sets);
@@ -574,11 +580,15 @@ mod tests {
                 w.put_u64(way.stamp);
             }
         }
-        // Clock, hits, misses.
-        for _ in 0..3 {
-            w.put_u64(64);
+        for c in counters {
+            w.put_u64(c);
         }
         w.into_bytes()
+    }
+
+    /// A blob for [`l1`]'s geometry, 16 sets of 4 ways.
+    fn l1_blob(way: impl Fn(usize, u32) -> Way) -> Vec<u8> {
+        cache_blob(16, 4, way, [64, 0, 0])
     }
 
     /// Restores `blob` into [`l1`] (16 sets of 4 ways).
@@ -612,7 +622,7 @@ mod tests {
     fn restore_rejects_tags_no_address_produces() {
         // 16 sets: a tag is a 58-bit line index without its 4 set bits.
         let limit = 1u64 << 54;
-        let mut c = restore_l1(&cache_blob(16, 4, lone_line((15, 0), limit - 1)))
+        let mut c = restore_l1(&l1_blob(lone_line((15, 0), limit - 1)))
             .expect("the largest tag an address produces restores");
         // Four conflicting lines evict it to the last line of memory.
         let evicted: Vec<_> = (1..=4u64)
@@ -620,14 +630,10 @@ mod tests {
             .collect();
         assert_eq!(evicted, [Addr::new(u64::MAX - 63)]);
         for tag in [limit, u64::MAX] {
-            assert!(is_invalid(restore_l1(&cache_blob(
-                16,
-                4,
-                lone_line((0, 0), tag)
-            ))));
+            assert!(is_invalid(restore_l1(&l1_blob(lone_line((0, 0), tag)))));
         }
         // An invalid way keeps whatever tag it held last.
-        assert!(restore_l1(&cache_blob(16, 4, |_, _| Way {
+        assert!(restore_l1(&l1_blob(|_, _| Way {
             tag: u64::MAX,
             ..Way::default()
         }))
@@ -642,13 +648,13 @@ mod tests {
             dirty: true,
             stamp: 1,
         };
-        assert!(is_invalid(restore_l1(&cache_blob(16, 4, twice))));
+        assert!(is_invalid(restore_l1(&l1_blob(twice))));
         // The same tag in two sets is two different lines.
         let two_sets = |s: usize, i: u32| Way {
             valid: (s == 3 || s == 4) && i == 0,
             ..twice(s, i)
         };
-        let mut c = restore_l1(&cache_blob(16, 4, two_sets)).expect("two lines restore");
+        let mut c = restore_l1(&l1_blob(two_sets)).expect("two lines restore");
         let line = Addr::new((7 * 16 + 3) * 64);
         assert_eq!(c.invalidate(line), Some(true));
         assert!(!c.probe(line));
@@ -730,20 +736,12 @@ mod tests {
         }
 
         fn save(&self, ways: u32) -> Vec<u8> {
-            let mut w = SnapshotWriter::new();
-            w.section(SECTION_CACHE);
-            w.put_usize(self.sets.len());
-            w.put_u32(ways);
-            for way in self.sets.iter().flatten() {
-                w.put_u64(way.tag);
-                w.put_bool(way.valid);
-                w.put_bool(way.dirty);
-                w.put_u64(way.stamp);
-            }
-            w.put_u64(self.clock);
-            w.put_u64(self.hits);
-            w.put_u64(self.misses);
-            w.into_bytes()
+            cache_blob(
+                self.sets.len(),
+                ways,
+                |s, i| self.sets[s][i as usize],
+                [self.clock, self.hits, self.misses],
+            )
         }
     }
 
