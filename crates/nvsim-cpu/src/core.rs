@@ -161,9 +161,9 @@ impl Core {
     ///
     /// # Panics
     ///
-    /// Panics if the cache configuration is invalid (it is a programmer
-    /// error to construct a core from an unvalidated ad-hoc config; use
-    /// the presets or validate first via [`Core::try_new`]).
+    /// Panics if the cache or TLB configuration is invalid (it is a
+    /// programmer error to construct a core from an unvalidated ad-hoc
+    /// config; use the presets or validate first via [`Core::try_new`]).
     #[expect(
         clippy::expect_used,
         reason = "documented programmer-error panic on unvalidated configs; simulation \
@@ -177,11 +177,11 @@ impl Core {
     ///
     /// # Errors
     ///
-    /// Returns the first cache-configuration validation error.
+    /// Returns the first cache- or TLB-configuration validation error.
     pub fn try_new(cfg: CoreConfig) -> Result<Self, ConfigError> {
         Ok(Core {
             caches: CacheHierarchy::new(cfg.caches)?,
-            tlb: TlbHierarchy::new(cfg.tlb),
+            tlb: TlbHierarchy::new(cfg.tlb)?,
             period: cfg.freq.period(),
             cfg,
         })
@@ -554,6 +554,20 @@ mod tests {
 
     fn mem() -> FixedLatencyBackend {
         FixedLatencyBackend::new(Time::from_ns(100), Time::from_ns(100))
+    }
+
+    #[test]
+    fn zero_entry_tlbs_are_rejected() {
+        for field in ["tlb.l1_entries", "tlb.stlb_entries"] {
+            let mut cfg = CoreConfig::tiny_for_tests();
+            if field == "tlb.l1_entries" {
+                cfg.tlb.l1_entries = 0;
+            } else {
+                cfg.tlb.stlb_entries = 0;
+            }
+            let err = Core::try_new(cfg).map(|_| ()).unwrap_err();
+            assert_eq!(err.field(), field);
+        }
     }
 
     #[test]

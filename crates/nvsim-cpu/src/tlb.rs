@@ -1,14 +1,11 @@
 //! TLBs, the page walker, and the Pre-translation integration.
 
+use nvsim_types::error::require_nonzero;
+use nvsim_types::lru::Lru;
 use nvsim_types::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-use nvsim_types::{Addr, MemoryBackend, RequestDesc, Time, VirtAddr};
+use nvsim_types::{Addr, ConfigError, MemoryBackend, RequestDesc, Time, VirtAddr};
 use serde::{Deserialize, Serialize};
-#[expect(
-    clippy::disallowed_types,
-    reason = "see `TlbArray::slots`: keyed lookups only; recency (the only observed \
-              order) lives in the node list"
-)]
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// TLB hierarchy configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,6 +46,17 @@ impl TlbConfig {
             walk_memory_accesses: 2,
         }
     }
+
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        require_nonzero("tlb.l1_entries", u64::from(self.l1_entries))?;
+        require_nonzero("tlb.stlb_entries", u64::from(self.stlb_entries))?;
+        Ok(())
+    }
 }
 
 /// Statistics of TLB behaviour.
@@ -78,111 +86,29 @@ pub struct Translation {
     pub walked: bool,
 }
 
-/// One resident translation of a [`TlbArray`], a link of its recency
-/// list.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    vpn: u64,
-    /// The array's clock at the entry's last use.
-    stamp: u64,
-    /// Neighbour towards the most recently used end.
-    prev: u32,
-    /// Neighbour towards the least recently used end.
-    next: u32,
-}
-
-/// The list's sentinel: `nodes[HEAD].next` is the most recently used
-/// entry and `nodes[HEAD].prev` the least recently used one.
-const HEAD: u32 = 0;
-
-/// A fully associative LRU array of translations: a slab of nodes
-/// threaded from most to least recently used, and a `vpn → slot` map.
-/// A hit moves its node to the front; an insert into a full array
-/// recycles the tail node.
+/// A fully associative LRU array of translations: each resident VPN
+/// maps to the array's clock at its last use.
 #[derive(Debug, Clone)]
 struct TlbArray {
-    /// `nodes[0]` is the sentinel; entries live in `1..`. An entry is
-    /// only ever replaced, never removed, so the slab never has holes.
-    nodes: Vec<Node>,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "never iterated; the LRU victim is the tail of the node list, not \
-                  chosen from this map"
-    )]
-    slots: HashMap<u64, u32>,
-    // nvsim-lint: allow(snapshot-field-coverage) — construction-time configuration; restore validates the entry count against it.
-    capacity: usize,
+    /// VPN → stamp, most recently used first.
+    lru: Lru<u64>,
     clock: u64,
 }
 
 impl TlbArray {
     fn new(capacity: usize) -> Self {
-        let sentinel = Node {
-            vpn: 0,
-            stamp: 0,
-            prev: HEAD,
-            next: HEAD,
-        };
-        let mut nodes = Vec::with_capacity(capacity + 1);
-        nodes.push(sentinel);
         TlbArray {
-            nodes,
-            // Twice the capacity: removals and inserts then never make
-            // the map grow, at any hash seed.
-            #[expect(clippy::disallowed_types, reason = "see field docs: never iterated")]
-            slots: HashMap::with_capacity(2 * capacity),
-            capacity,
+            lru: Lru::new(capacity),
             clock: 0,
         }
     }
 
-    fn node(&mut self, slot: u32) -> &mut Node {
-        &mut self.nodes[slot as usize]
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let Node { prev, next, .. } = self.nodes[slot as usize];
-        self.node(prev).next = next;
-        self.node(next).prev = prev;
-    }
-
-    /// Links `slot` in as the most recently used entry.
-    fn push_front(&mut self, slot: u32) {
-        let first = self.nodes[HEAD as usize].next;
-        let n = self.node(slot);
-        n.prev = HEAD;
-        n.next = first;
-        self.node(first).prev = slot;
-        self.node(HEAD).next = slot;
-    }
-
-    /// Re-stamps `slot` with the current clock and moves it to the front.
-    fn touch(&mut self, slot: u32) {
-        self.node(slot).stamp = self.clock;
-        self.unlink(slot);
-        self.push_front(slot);
-    }
-
-    /// Adds `vpn` as the most recently used entry, stamped `stamp`, in a
-    /// fresh node (the caller keeps the count within the capacity).
-    fn push(&mut self, vpn: u64, stamp: u64) {
-        // nvsim-lint: allow(cast-truncation) — the slab holds at most capacity + 1 nodes, and capacities come from u32 entry counts.
-        let slot = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            vpn,
-            stamp,
-            prev: HEAD,
-            next: HEAD,
-        });
-        self.slots.insert(vpn, slot);
-        self.push_front(slot);
-    }
-
     fn lookup(&mut self, vpn: u64) -> bool {
         self.clock += 1;
-        match self.slots.get(&vpn) {
-            Some(&slot) => {
-                self.touch(slot);
+        let clock = self.clock;
+        match self.lru.get(vpn) {
+            Some(stamp) => {
+                *stamp = clock;
                 true
             }
             None => false,
@@ -192,37 +118,28 @@ impl TlbArray {
     /// Makes `vpn` the most recently used entry; returns the VPN it
     /// evicted, if any.
     fn insert(&mut self, vpn: u64) -> Option<u64> {
-        self.clock += 1;
-        if let Some(&slot) = self.slots.get(&vpn) {
-            self.touch(slot);
+        if self.lru.contains(vpn) {
+            self.lookup(vpn);
             return None;
         }
-        let lru = self.nodes[HEAD as usize].prev;
-        if self.slots.len() >= self.capacity && lru != HEAD {
-            let victim = self.nodes[lru as usize].vpn;
-            self.slots.remove(&victim);
-            self.slots.insert(vpn, lru);
-            self.node(lru).vpn = vpn;
-            self.touch(lru);
-            Some(victim)
-        } else {
-            self.push(vpn, self.clock);
-            None
-        }
+        self.fill(vpn)
+    }
+
+    /// [`insert`](Self::insert) for a `vpn` this array's last
+    /// [`lookup`](Self::lookup) missed, without probing for it again.
+    fn fill(&mut self, vpn: u64) -> Option<u64> {
+        self.clock += 1;
+        self.lru.insert(vpn, self.clock).map(|(victim, _)| victim)
     }
 }
 
 impl Snapshot for TlbArray {
     fn save(&self, w: &mut SnapshotWriter) {
-        // Tail to head: least to most recently used, which is ascending
-        // stamp order.
-        w.put_usize(self.slots.len());
-        let mut slot = self.nodes[HEAD as usize].prev;
-        while slot != HEAD {
-            let n = &self.nodes[slot as usize];
-            w.put_u64(n.stamp);
-            w.put_u64(n.vpn);
-            slot = n.prev;
+        // Least to most recently used, which is ascending stamp order.
+        w.put_usize(self.lru.len());
+        for (vpn, stamp) in self.lru.iter().rev() {
+            w.put_u64(stamp);
+            w.put_u64(vpn);
         }
         w.put_u64(self.clock);
     }
@@ -232,7 +149,7 @@ impl Snapshot for TlbArray {
         if n > r.remaining() {
             return Err(r.invalid("TLB entry count exceeds the blob"));
         }
-        if n > self.capacity {
+        if n > self.lru.capacity() {
             return Err(r.invalid("TLB entry count exceeds this configuration's capacity"));
         }
         let mut entries = Vec::with_capacity(n);
@@ -244,15 +161,12 @@ impl Snapshot for TlbArray {
         // `save` writes ascending stamps; any order of unique stamps
         // rebuilds the same recency list.
         entries.sort_unstable();
-        self.nodes.truncate(1);
-        self.nodes[HEAD as usize].prev = HEAD;
-        self.nodes[HEAD as usize].next = HEAD;
-        self.slots.clear();
+        self.lru.clear();
         for &(stamp, vpn) in &entries {
-            if self.slots.contains_key(&vpn) {
+            if self.lru.contains(vpn) {
                 return Err(r.invalid("duplicate VPNs in TLB snapshot"));
             }
-            self.push(vpn, stamp);
+            self.lru.insert(vpn, stamp);
         }
         // `save` writes unique stamps, none past the clock; anything else
         // would make the saved order differ from the recency order.
@@ -286,14 +200,19 @@ pub struct TlbHierarchy {
 
 impl TlbHierarchy {
     /// Creates the TLB hierarchy.
-    pub fn new(cfg: TlbConfig) -> Self {
-        TlbHierarchy {
+    ///
+    /// # Errors
+    ///
+    /// Returns the configuration's validation error.
+    pub fn new(cfg: TlbConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        Ok(TlbHierarchy {
             l1: TlbArray::new(cfg.l1_entries as usize),
             stlb: TlbArray::new(cfg.stlb_entries as usize),
             cfg,
             prefetched: BTreeMap::new(),
             stats: TlbStats::default(),
-        }
+        })
     }
 
     /// Statistics so far.
@@ -329,6 +248,42 @@ impl TlbHierarchy {
         self.l1.insert(vpn);
     }
 
+    /// Probes the L1 DTLB, then the STLB, counting the outcome. A hit
+    /// returns its cycles (0 in the L1); `None` means both missed and the
+    /// caller walks, then calls [`fill_walked`](Self::fill_walked).
+    fn probe(&mut self, vpn: u64) -> Option<u32> {
+        if self.l1.lookup(vpn) {
+            self.stats.l1_hits += 1;
+            // Entries installed by pre-translation count once.
+            if self.prefetched.remove(&vpn).is_some() {
+                self.stats.pretranslated += 1;
+            }
+            return Some(0);
+        }
+        if self.stlb.lookup(vpn) {
+            self.stats.stlb_hits += 1;
+            self.l1.fill(vpn);
+            return Some(self.cfg.stlb_hit_cycles);
+        }
+        self.stats.walks += 1;
+        None
+    }
+
+    /// Installs a walked translation in both arrays, which
+    /// [`probe`](Self::probe) has just found without it.
+    fn fill_walked(&mut self, vpn: u64) {
+        self.l1.fill(vpn);
+        self.stlb.fill(vpn);
+    }
+
+    /// The address of the page-table entry a walk reads at radix `level`.
+    fn pte(vpn: u64, level: u32) -> Addr {
+        // Page-table pages live high in the physical address space;
+        // each radix level indexes by 9 fewer VPN bits.
+        let pte = (1u64 << 40) + ((vpn >> (9 * level)) * 8) % (1 << 30);
+        Addr::new(pte).align_down(64)
+    }
+
     /// Translates `vaddr` at time `now`, walking the page table through
     /// `mem` if necessary.
     pub fn translate<B: MemoryBackend>(
@@ -339,36 +294,18 @@ impl TlbHierarchy {
     ) -> Translation {
         let vpn = vaddr.page_index();
         let paddr = Self::page_mapping(vaddr);
-        if self.l1.lookup(vpn) {
-            self.stats.l1_hits += 1;
-            // Entries installed by pre-translation count once.
-            if self.prefetched.remove(&vpn).is_some() {
-                self.stats.pretranslated += 1;
-            }
+        if let Some(cycles) = self.probe(vpn) {
             return Translation {
                 paddr,
-                cycles: 0,
-                walked: false,
-            };
-        }
-        if self.stlb.lookup(vpn) {
-            self.stats.stlb_hits += 1;
-            self.l1.insert(vpn);
-            return Translation {
-                paddr,
-                cycles: self.cfg.stlb_hit_cycles,
+                cycles,
                 walked: false,
             };
         }
         // Full walk: issue real memory reads against the page-table
-        // region (placed high in the physical address space).
-        self.stats.walks += 1;
+        // region.
         let mut t = now;
         for level in 0..self.cfg.walk_memory_accesses {
-            // Page-table pages live high in the physical address space;
-            // each radix level indexes by 9 fewer VPN bits.
-            let pte = (1u64 << 40) + ((vpn >> (9 * level)) * 8) % (1 << 30);
-            t = mem.execute(RequestDesc::load(Addr::new(pte).align_down(64)));
+            t = mem.execute(RequestDesc::load(Self::pte(vpn, level)));
         }
         let walk_wait = t.saturating_sub(now);
         // f64→u32 `as` rounds toward the saturated bound deterministically,
@@ -377,8 +314,7 @@ impl TlbHierarchy {
         // nvsim-lint: allow(cast-truncation) — f64 as u32 saturates, never wraps
         let walk_cycles = (walk_wait.as_ns_f64() * 2.2).round() as u32;
         let cycles = self.cfg.walk_base_cycles.saturating_add(walk_cycles);
-        self.l1.insert(vpn);
-        self.stlb.insert(vpn);
+        self.fill_walked(vpn);
         Translation {
             paddr,
             cycles,
@@ -391,27 +327,13 @@ impl TlbHierarchy {
     /// issue *warm* memory accesses (no timing) instead of timed loads.
     pub fn warm_translate<B: MemoryBackend>(&mut self, vaddr: VirtAddr, mem: &mut B) -> Addr {
         let vpn = vaddr.page_index();
-        let paddr = Self::page_mapping(vaddr);
-        if self.l1.lookup(vpn) {
-            self.stats.l1_hits += 1;
-            if self.prefetched.remove(&vpn).is_some() {
-                self.stats.pretranslated += 1;
+        if self.probe(vpn).is_none() {
+            for level in 0..self.cfg.walk_memory_accesses {
+                mem.warm_access(&RequestDesc::load(Self::pte(vpn, level)));
             }
-            return paddr;
+            self.fill_walked(vpn);
         }
-        if self.stlb.lookup(vpn) {
-            self.stats.stlb_hits += 1;
-            self.l1.insert(vpn);
-            return paddr;
-        }
-        self.stats.walks += 1;
-        for level in 0..self.cfg.walk_memory_accesses {
-            let pte = (1u64 << 40) + ((vpn >> (9 * level)) * 8) % (1 << 30);
-            mem.warm_access(&RequestDesc::load(Addr::new(pte).align_down(64)));
-        }
-        self.l1.insert(vpn);
-        self.stlb.insert(vpn);
-        paddr
+        Self::page_mapping(vaddr)
     }
 }
 
@@ -473,7 +395,7 @@ mod tests {
     }
 
     fn tlb() -> TlbHierarchy {
-        TlbHierarchy::new(TlbConfig::tiny_for_tests())
+        TlbHierarchy::new(TlbConfig::tiny_for_tests()).unwrap()
     }
 
     #[test]

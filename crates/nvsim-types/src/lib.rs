@@ -50,6 +50,7 @@ pub mod addr;
 pub mod backend;
 pub mod durability;
 pub mod error;
+pub mod lru;
 pub mod request;
 pub mod rng;
 pub mod snapshot;

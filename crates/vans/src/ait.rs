@@ -188,10 +188,7 @@ impl Ait {
     /// Number of dirty pages currently resident in the data buffer (lines
     /// the ADR drain would still have to push to media).
     pub fn dirty_pages(&self) -> u64 {
-        self.buffer
-            .keys()
-            .filter(|&k| self.buffer.is_dirty(k))
-            .count() as u64
+        self.buffer.iter().filter(|&(_, dirty)| dirty).count() as u64
     }
 
     /// Statistics so far.

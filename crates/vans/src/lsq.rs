@@ -93,7 +93,7 @@ impl Lsq {
     /// crash-consistency layer snapshots these: LSQ-resident lines sit
     /// below the WPQ and are therefore inside the ADR domain.
     pub fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lines.keys()
+        self.lines.iter().map(|(line, _)| line)
     }
 
     /// Reserves the lookup port from `t`; returns when the lookup's
@@ -149,7 +149,7 @@ impl Lsq {
         let lines_per_block = self.cfg.combine_bytes / CACHE_LINE_U32;
         let block = victim / lines_per_block as u64;
         self.members.clear();
-        for k in self.lines.keys() {
+        for (k, _) in self.lines.iter() {
             if k / lines_per_block as u64 == block {
                 self.members.push(k);
             }
