@@ -98,8 +98,8 @@ impl Snapshot for Bank {
 
 impl Snapshot for RankWindow {
     fn save(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.act_times.len());
-        for &t in &self.act_times {
+        w.put_usize(self.act_times().len());
+        for &t in self.act_times() {
             w.put_time(t);
         }
         w.put_time(self.next_act_rank);
@@ -108,27 +108,33 @@ impl Snapshot for RankWindow {
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let n = r.get_usize()?;
-        // `record_act` bounds the window to 8 entries; anything larger is
-        // not a state this struct can produce.
-        if n > 8 {
+        // `record_act` leaves at most 8 entries between ACTs; anything
+        // larger is not a state this struct can produce.
+        if n > ACT_WINDOW_KEPT {
             return Err(r.invalid("ACT window larger than its 8-entry bound"));
         }
-        self.act_times.clear();
-        for _ in 0..n {
-            self.act_times.push(r.get_time()?);
+        for t in &mut self.act_times[..n] {
+            *t = r.get_time()?;
         }
+        self.act_len = n;
         self.next_act_rank = r.get_time()?;
         self.next_any = r.get_time()?;
         Ok(())
     }
 }
 
+/// ACT times a [`RankWindow`] keeps between ACTs. The ninth ACT drops
+/// the oldest four, so the window shifts once every four ACTs.
+const ACT_WINDOW_KEPT: usize = 8;
+
 /// Per-rank constraint tracking: the rolling four-activate window (tFAW)
 /// and the earliest next ACT due to tRRD.
 #[derive(Debug, Clone, Default)]
 pub struct RankWindow {
-    /// Issue times of the four most recent ACTs, oldest first.
-    act_times: Vec<Time>,
+    /// Issue times of the most recent ACTs, oldest first; the first
+    /// `act_len` are live.
+    act_times: [Time; ACT_WINDOW_KEPT + 1],
+    act_len: usize,
     /// Earliest next ACT anywhere in the rank (tRRD).
     pub next_act_rank: Time,
     /// Earliest next command of any kind (post-refresh block).
@@ -136,20 +142,29 @@ pub struct RankWindow {
 }
 
 impl RankWindow {
+    /// The live ACT times, oldest first.
+    fn act_times(&self) -> &[Time] {
+        &self.act_times[..self.act_len]
+    }
+
     /// Earliest time a new ACT satisfies tFAW, given the window.
+    #[inline]
     pub fn faw_constraint(&self, tfaw: Time) -> Time {
-        if self.act_times.len() < 4 {
+        if self.act_len < 4 {
             Time::ZERO
         } else {
-            self.act_times[self.act_times.len() - 4] + tfaw
+            self.act_times[self.act_len - 4] + tfaw
         }
     }
 
     /// Records an ACT issue.
+    #[inline]
     pub fn record_act(&mut self, at: Time) {
-        self.act_times.push(at);
-        if self.act_times.len() > 8 {
-            self.act_times.drain(..4);
+        self.act_times[self.act_len] = at;
+        self.act_len += 1;
+        if self.act_len > ACT_WINDOW_KEPT {
+            self.act_times.copy_within(4.., 0);
+            self.act_len -= 4;
         }
     }
 }
@@ -197,13 +212,95 @@ mod tests {
         assert_eq!(w.faw_constraint(Time::from_ns(35)), Time::from_ns(45));
     }
 
+    /// The heap window the inline array replaced: push, and drain the
+    /// oldest four once a ninth ACT arrives.
+    #[derive(Default)]
+    struct VecWindow {
+        act_times: Vec<Time>,
+        next_act_rank: Time,
+        next_any: Time,
+    }
+
+    impl VecWindow {
+        fn faw_constraint(&self, tfaw: Time) -> Time {
+            if self.act_times.len() < 4 {
+                Time::ZERO
+            } else {
+                self.act_times[self.act_times.len() - 4] + tfaw
+            }
+        }
+
+        fn record_act(&mut self, at: Time) {
+            self.act_times.push(at);
+            if self.act_times.len() > 8 {
+                self.act_times.drain(..4);
+            }
+        }
+
+        fn save(&self) -> Vec<u8> {
+            let mut w = SnapshotWriter::new();
+            w.put_usize(self.act_times.len());
+            for &t in &self.act_times {
+                w.put_time(t);
+            }
+            w.put_time(self.next_act_rank);
+            w.put_time(self.next_any);
+            w.into_bytes()
+        }
+    }
+
+    fn save(w: &RankWindow) -> Vec<u8> {
+        let mut out = SnapshotWriter::new();
+        w.save(&mut out);
+        out.into_bytes()
+    }
+
+    #[test]
+    fn array_window_matches_vec_reference() {
+        let mut rng = nvsim_types::DetRng::seed_from(0xfa3);
+        let mut array = RankWindow::default();
+        let mut reference = VecWindow::default();
+        let mut now = Time::ZERO;
+        let tfaw = Time::from_ns(21);
+        for i in 0..1_000 {
+            now += Time::from_ps(rng.range_u64(0, 20_000));
+            array.record_act(now);
+            reference.record_act(now);
+            if i % 7 == 0 {
+                array.next_act_rank = now + tfaw;
+                reference.next_act_rank = now + tfaw;
+                array.next_any = now;
+                reference.next_any = now;
+            }
+            assert_eq!(array.faw_constraint(tfaw), reference.faw_constraint(tfaw));
+            let bytes = save(&array);
+            assert_eq!(bytes, reference.save(), "after ACT {i}");
+            // A restored copy continues from the same window.
+            let mut copy = RankWindow::default();
+            let mut r = SnapshotReader::new(&bytes);
+            copy.restore(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(save(&copy), bytes);
+        }
+        // A nine-entry window is not a state `record_act` leaves.
+        let nine = VecWindow {
+            act_times: (0..9).map(Time::from_ns).collect(),
+            ..VecWindow::default()
+        };
+        let blob = nine.save();
+        let err = RankWindow::default()
+            .restore(&mut SnapshotReader::new(&blob))
+            .unwrap_err();
+        assert!(err.to_string().contains("8-entry"), "{err}");
+    }
+
     #[test]
     fn act_window_is_bounded() {
         let mut w = RankWindow::default();
         for i in 0..100 {
             w.record_act(Time::from_ns(i));
         }
-        assert!(w.act_times.len() <= 8);
+        assert!(w.act_times().len() <= 8);
         // Still correct: last four ACTs are 96..=99 -> constraint from t=96.
         assert_eq!(w.faw_constraint(Time::from_ns(10)), Time::from_ns(106));
     }

@@ -46,14 +46,14 @@ impl DramOrganization {
         self.bank_groups * self.banks_per_group
     }
 
-    /// Validates that all fields are nonzero powers of two (rows may be any
-    /// nonzero value).
+    /// Validates that all fields are nonzero powers of two, so that the
+    /// address mapping is a bit slice.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_power_of_two("organization.channels", self.channels as u64)?;
         require_power_of_two("organization.ranks", self.ranks as u64)?;
         require_power_of_two("organization.bank_groups", self.bank_groups as u64)?;
         require_power_of_two("organization.banks_per_group", self.banks_per_group as u64)?;
-        require_nonzero("organization.rows", self.rows as u64)?;
+        require_power_of_two("organization.rows", self.rows as u64)?;
         require_power_of_two("organization.columns", self.columns as u64)?;
         require_power_of_two("organization.access_bytes", self.access_bytes as u64)?;
         Ok(())
@@ -351,6 +351,12 @@ mod tests {
         let mut cfg = DramConfig::ddr4_2666_4gb();
         cfg.organization.columns = 100;
         assert!(cfg.validate().is_err());
+        let mut cfg = DramConfig::ddr4_2666_4gb();
+        cfg.organization.rows = 6000;
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err.field(), "organization.rows");
+        cfg.organization.rows = 0;
+        assert_eq!(cfg.validate().unwrap_err().field(), "organization.rows");
     }
 
     #[test]

@@ -53,5 +53,5 @@ pub mod model;
 pub use checker::{ProtocolChecker, Violation};
 pub use command::{CommandKind, CommandRecord};
 pub use config::{DramConfig, DramOrganization, DramTimings};
-pub use mapping::{AddressMapping, DecodedAddr, MappingField};
+pub use mapping::{AddressMapping, DecodedAddr};
 pub use model::DramModel;

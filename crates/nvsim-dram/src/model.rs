@@ -44,6 +44,96 @@ struct Channel {
     next_refresh: Time,
 }
 
+/// The timing parameters an access or a refresh reads, each converted
+/// from clock cycles once, at construction.
+#[derive(Debug, Clone, Copy)]
+struct Clocks {
+    tck: Time,
+    trp: Time,
+    trcd: Time,
+    tras: Time,
+    trc: Time,
+    cl: Time,
+    cwl: Time,
+    burst: Time,
+    twr: Time,
+    trtp: Time,
+    tccd: Time,
+    trrd: Time,
+    twtr: Time,
+    tfaw: Time,
+    trfc: Time,
+    trefi: Time,
+}
+
+impl Clocks {
+    fn new(cfg: &DramConfig) -> Self {
+        let tck = cfg.clock().period();
+        let t = cfg.timings;
+        let clocks = |n: u32| tck * u64::from(n);
+        Clocks {
+            tck,
+            trp: clocks(t.trp),
+            trcd: clocks(t.trcd),
+            tras: clocks(t.tras),
+            trc: clocks(t.trc),
+            cl: clocks(t.cl),
+            cwl: clocks(t.cwl),
+            burst: clocks(t.burst_cycles),
+            twr: clocks(t.twr),
+            trtp: clocks(t.trtp),
+            tccd: clocks(t.tccd_l),
+            trrd: clocks(t.trrd_l),
+            twtr: clocks(t.twtr_l),
+            tfaw: clocks(t.tfaw),
+            trfc: clocks(t.trfc),
+            trefi: clocks(t.trefi),
+        }
+    }
+}
+
+/// The command trace: time-sorted records, kept only when the
+/// configuration sets `record_commands`.
+#[derive(Debug, Clone)]
+struct CommandLog {
+    enabled: bool,
+    records: Vec<CommandRecord>,
+}
+
+impl CommandLog {
+    #[inline]
+    fn record(&mut self, at: Time, kind: CommandKind, channel: u32, d: &DecodedAddr) {
+        if !self.enabled {
+            return;
+        }
+        let rec = CommandRecord {
+            at,
+            kind,
+            channel,
+            rank: d.rank,
+            bank_group: d.bank_group,
+            bank: d.bank,
+            row: if kind == CommandKind::Activate {
+                d.row
+            } else {
+                0
+            },
+            column: match kind {
+                CommandKind::Read | CommandKind::Write => d.column,
+                _ => 0,
+            },
+        };
+        // Refreshes are evaluated lazily and may be recorded after
+        // commands with later issue times; keep the trace time-sorted.
+        let pos = self
+            .records
+            .iter()
+            .rposition(|c| c.at <= rec.at)
+            .map_or(0, |p| p + 1);
+        self.records.insert(pos, rec);
+    }
+}
+
 /// A cycle-level DRAM timing model.
 ///
 /// # Example
@@ -69,9 +159,9 @@ pub struct DramModel {
     channels: Vec<Channel>,
     stats: DramStats,
     // nvsim-lint: allow(snapshot-field-coverage) — diagnostic command trace, not simulation state; restore clears it.
-    trace: Vec<CommandRecord>,
-    // nvsim-lint: allow(snapshot-field-coverage) — derived from `cfg` at construction (clock period); immutable.
-    tck: Time,
+    trace: CommandLog,
+    // nvsim-lint: allow(snapshot-field-coverage) — derived from `cfg` at construction (timings in ps); immutable.
+    clocks: Clocks,
 }
 
 impl DramModel {
@@ -82,9 +172,8 @@ impl DramModel {
     /// Returns the configuration validation error, if any.
     pub fn new(cfg: DramConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let tck = cfg.clock().period();
+        let clocks = Clocks::new(&cfg);
         let org = cfg.organization;
-        let refresh_start = tck * cfg.timings.trefi as u64;
         let channels = (0..org.channels)
             .map(|_| Channel {
                 banks: vec![Bank::default(); (org.ranks * org.banks_per_rank()) as usize],
@@ -92,17 +181,19 @@ impl DramModel {
                 data_bus_free: Time::ZERO,
                 cmd_bus_free: Time::ZERO,
                 last_write_data_end: Time::ZERO,
-                next_refresh: refresh_start,
+                next_refresh: clocks.trefi,
             })
             .collect();
-        let mapping = AddressMapping::standard(&org);
         Ok(DramModel {
-            cfg,
-            mapping,
+            mapping: AddressMapping::new(&org),
             channels,
             stats: DramStats::default(),
-            trace: Vec::new(),
-            tck,
+            trace: CommandLog {
+                enabled: cfg.record_commands,
+                records: Vec::new(),
+            },
+            clocks,
+            cfg,
         })
     }
 
@@ -118,112 +209,103 @@ impl DramModel {
 
     /// The recorded command trace (empty unless `record_commands` is set).
     pub fn trace(&self) -> &[CommandRecord] {
-        &self.trace
+        &self.trace.records
     }
 
     /// Clears the recorded command trace.
     pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
-    fn clocks(&self, n: u32) -> Time {
-        self.tck * n as u64
-    }
-
-    fn record(&mut self, at: Time, kind: CommandKind, ch: u32, d: &DecodedAddr) {
-        if self.cfg.record_commands {
-            // Refreshes are evaluated lazily and may be recorded after
-            // commands with later issue times; keep the trace time-sorted.
-            let rec = CommandRecord {
-                at,
-                kind,
-                channel: ch,
-                rank: d.rank,
-                bank_group: d.bank_group,
-                bank: d.bank,
-                row: if kind == CommandKind::Activate {
-                    d.row
-                } else {
-                    0
-                },
-                column: match kind {
-                    CommandKind::Read | CommandKind::Write => d.column,
-                    _ => 0,
-                },
-            };
-            let pos = self
-                .trace
-                .iter()
-                .rposition(|c| c.at <= rec.at)
-                .map_or(0, |p| p + 1);
-            self.trace.insert(pos, rec);
-        }
+        self.trace.records.clear();
     }
 
     /// Performs any refreshes due at or before `now` on the channel.
-    fn maybe_refresh(&mut self, ch_idx: usize, now: Time) {
-        if !self.cfg.refresh_enabled {
+    ///
+    /// The first due refresh precharges every open bank (the implicit
+    /// PREA, recorded as one PRE per bank) and blocks each rank for tRFC.
+    /// Every later refresh in the gap finds the banks precharged, so all
+    /// it does is raise each bank's `next_act` and the rank's `next_any`
+    /// to its own due time plus tRFC and count one refresh per rank: the
+    /// last one's bound covers all of theirs, and they fold into one
+    /// step however long the gap.
+    #[inline]
+    fn maybe_refresh(&mut self, ch: u32, now: Time) {
+        let due = self.channels[ch as usize].next_refresh;
+        if due > now || !self.cfg.refresh_enabled {
             return;
         }
-        let trefi = self.clocks(self.cfg.timings.trefi);
-        let trfc = self.clocks(self.cfg.timings.trfc);
-        let trp = self.clocks(self.cfg.timings.trp);
-        loop {
-            let due = self.channels[ch_idx].next_refresh;
-            if due > now {
-                break;
-            }
-            // Precharge all banks (implicitly; banks must be idle for REF),
-            // then block the rank for tRFC.
-            let org = self.cfg.organization;
-            for rank in 0..org.ranks {
-                // Precharge every open bank first (the implicit PREA),
-                // emitting the PRE commands so the trace stays legal.
-                let mut start = due;
-                let mut pres: Vec<(Time, DecodedAddr)> = Vec::new();
-                {
-                    let chan = &mut self.channels[ch_idx];
-                    for b in 0..org.banks_per_rank() {
-                        let flat = (rank * org.banks_per_rank() + b) as usize;
-                        let bank = &mut chan.banks[flat];
-                        if matches!(bank.state, BankState::Active { .. }) {
-                            let pre_at = due.max(bank.next_pre);
-                            bank.state = BankState::Precharged;
-                            bank.next_act = bank.next_act.max(pre_at + trp);
-                            start = start.max(pre_at + trp);
-                            pres.push((
-                                pre_at,
-                                DecodedAddr {
-                                    rank,
-                                    bank_group: b / org.banks_per_group,
-                                    bank: b % org.banks_per_group,
-                                    ..Default::default()
-                                },
-                            ));
-                        }
+        self.refresh(ch, now);
+    }
+
+    /// The out-of-line body of [`maybe_refresh`](Self::maybe_refresh).
+    fn refresh(&mut self, ch: u32, now: Time) {
+        let c = self.clocks;
+        let org = self.cfg.organization;
+        let per_group = org.banks_per_group as usize;
+        let trace = &mut self.trace;
+        let chan = &mut self.channels[ch as usize];
+        let due = chan.next_refresh;
+        let ranks = chan
+            .ranks
+            .iter_mut()
+            .zip(chan.banks.chunks_exact_mut(org.banks_per_rank() as usize));
+        for (rank, (window, banks)) in (0u32..).zip(ranks) {
+            let mut start = due;
+            for (bank_group, group) in (0u32..).zip(banks.chunks_exact_mut(per_group)) {
+                for (bank, state) in (0u32..).zip(group.iter_mut()) {
+                    if matches!(state.state, BankState::Active { .. }) {
+                        let pre_at = due.max(state.next_pre);
+                        state.state = BankState::Precharged;
+                        start = start.max(saturating_add(pre_at, c.trp));
+                        let d = DecodedAddr {
+                            rank,
+                            bank_group,
+                            bank,
+                            ..Default::default()
+                        };
+                        trace.record(pre_at, CommandKind::Precharge, ch, &d);
                     }
                 }
-                for (pre_at, d) in pres {
-                    // nvsim-lint: allow(cast-truncation) — ch_idx indexes the small configured channel array
-                    self.record(pre_at, CommandKind::Precharge, ch_idx as u32, &d);
-                }
-                let end = start + trfc;
-                let chan = &mut self.channels[ch_idx];
-                for b in 0..org.banks_per_rank() {
-                    let bank = &mut chan.banks[(rank * org.banks_per_rank() + b) as usize];
-                    bank.state = BankState::Precharged;
-                    bank.next_act = bank.next_act.max(end);
-                }
-                chan.ranks[rank as usize].next_any = chan.ranks[rank as usize].next_any.max(end);
-                let rec = DecodedAddr {
-                    rank,
-                    ..Default::default()
-                };
-                self.record(start, CommandKind::Refresh, ch_idx as u32, &rec); // nvsim-lint: allow(cast-truncation) — ch_idx indexes the small configured channel array
-                self.stats.refreshes += 1;
             }
-            self.channels[ch_idx].next_refresh = due + trefi;
+            let end = saturating_add(start, c.trfc);
+            for bank in banks {
+                bank.next_act = bank.next_act.max(end);
+            }
+            window.next_any = window.next_any.max(end);
+            let d = DecodedAddr {
+                rank,
+                ..Default::default()
+            };
+            trace.record(start, CommandKind::Refresh, ch, &d);
         }
+        // The later refreshes due by `now`; `due + later · tREFI ≤ now`.
+        let gap = now - due;
+        let later = if gap < c.trefi {
+            0
+        } else {
+            gap.as_ps().checked_div(c.trefi.as_ps()).unwrap_or(0)
+        };
+        let last_due = due + c.trefi * later;
+        if later > 0 {
+            let end = saturating_add(last_due, c.trfc);
+            for bank in &mut chan.banks {
+                bank.next_act = bank.next_act.max(end);
+            }
+            for window in &mut chan.ranks {
+                window.next_any = window.next_any.max(end);
+            }
+            if trace.enabled {
+                for k in 1..=later {
+                    for rank in 0..org.ranks {
+                        let d = DecodedAddr {
+                            rank,
+                            ..Default::default()
+                        };
+                        trace.record(due + c.trefi * k, CommandKind::Refresh, ch, &d);
+                    }
+                }
+            }
+        }
+        chan.next_refresh = saturating_add(last_due, c.trefi);
+        self.stats.refreshes += (later + 1) * u64::from(org.ranks);
     }
 
     /// Simulates one access of `cfg.organization.access_bytes` bytes.
@@ -240,32 +322,14 @@ impl DramModel {
 
     /// Like [`access`](Self::access) but takes pre-decoded coordinates.
     pub fn access_decoded(&mut self, d: &DecodedAddr, is_write: bool, earliest: Time) -> Time {
-        let t = self.cfg.timings;
-        let ch_idx = d.channel as usize;
-        self.maybe_refresh(ch_idx, earliest);
+        let c = self.clocks;
+        self.maybe_refresh(d.channel, earliest);
 
-        let org = self.cfg.organization;
-        let flat = d.flat_bank(&org);
-        let trp = self.clocks(t.trp);
-        let trcd = self.clocks(t.trcd);
-        let tras = self.clocks(t.tras);
-        let trc = self.clocks(t.trc);
-        let cl = self.clocks(t.cl);
-        let cwl = self.clocks(t.cwl);
-        let burst = self.clocks(t.burst_cycles);
-        let twr = self.clocks(t.twr);
-        let trtp = self.clocks(t.trtp);
-        let tccd = self.clocks(t.tccd_l);
-        let trrd = self.clocks(t.trrd_l);
-        let twtr = self.clocks(t.twtr_l);
-        let tfaw = self.clocks(t.tfaw);
-        let one_ck = self.tck;
-
-        // Split-borrow the channel once.
-        let hit = {
-            let chan = &self.channels[ch_idx];
-            chan.banks[flat].row_open(d.row)
-        };
+        let flat = d.flat_bank(&self.cfg.organization);
+        let trace = &mut self.trace;
+        let chan = &mut self.channels[d.channel as usize];
+        let rank = &mut chan.ranks[d.rank as usize];
+        let bank = &mut chan.banks[flat];
 
         if is_write {
             self.stats.writes += 1;
@@ -274,107 +338,73 @@ impl DramModel {
         }
 
         let mut cursor = earliest;
-        if !hit {
+        if bank.row_open(d.row) {
+            bank.row_hits += 1;
+            self.stats.row_hits += 1;
+        } else {
             // Row conflict: precharge first if another row is open.
-            let need_pre = {
-                let bank = &self.channels[ch_idx].banks[flat];
-                matches!(bank.state, BankState::Active { .. })
-            };
-            if need_pre {
-                let (pre_at, rec_d) = {
-                    let chan = &mut self.channels[ch_idx];
-                    let bank = &mut chan.banks[flat];
-                    let pre_at = cursor
-                        .max(bank.next_pre)
-                        .max(chan.cmd_bus_free)
-                        .max(chan.ranks[d.rank as usize].next_any);
-                    bank.state = BankState::Precharged;
-                    bank.next_act = bank.next_act.max(pre_at + trp);
-                    chan.cmd_bus_free = pre_at + one_ck;
-                    (pre_at, *d)
-                };
-                self.record(pre_at, CommandKind::Precharge, d.channel, &rec_d);
+            if matches!(bank.state, BankState::Active { .. }) {
+                let pre_at = cursor
+                    .max(bank.next_pre)
+                    .max(chan.cmd_bus_free)
+                    .max(rank.next_any);
+                bank.state = BankState::Precharged;
+                bank.next_act = bank.next_act.max(pre_at + c.trp);
+                chan.cmd_bus_free = pre_at + c.tck;
+                trace.record(pre_at, CommandKind::Precharge, d.channel, d);
                 cursor = pre_at;
             }
             // Activate the target row.
-            let act_at = {
-                let chan = &mut self.channels[ch_idx];
-                let rank = &mut chan.ranks[d.rank as usize];
-                let bank = &mut chan.banks[flat];
-                let act_at = cursor
-                    .max(bank.next_act)
-                    .max(rank.next_act_rank)
-                    .max(rank.faw_constraint(tfaw))
-                    .max(rank.next_any)
-                    .max(chan.cmd_bus_free);
-                bank.state = BankState::Active { row: d.row };
-                bank.last_act = act_at;
-                bank.next_read = bank.next_read.max(act_at + trcd);
-                bank.next_write = bank.next_write.max(act_at + trcd);
-                bank.next_pre = bank.next_pre.max(act_at + tras);
-                bank.next_act = bank.next_act.max(act_at + trc);
-                bank.row_misses += 1;
-                rank.record_act(act_at);
-                rank.next_act_rank = rank.next_act_rank.max(act_at + trrd);
-                chan.cmd_bus_free = act_at + one_ck;
-                act_at
-            };
-            self.record(act_at, CommandKind::Activate, d.channel, d);
+            let act_at = cursor
+                .max(bank.next_act)
+                .max(rank.next_act_rank)
+                .max(rank.faw_constraint(c.tfaw))
+                .max(rank.next_any)
+                .max(chan.cmd_bus_free);
+            bank.state = BankState::Active { row: d.row };
+            bank.last_act = act_at;
+            bank.next_read = bank.next_read.max(act_at + c.trcd);
+            bank.next_write = bank.next_write.max(act_at + c.trcd);
+            bank.next_pre = bank.next_pre.max(act_at + c.tras);
+            bank.next_act = bank.next_act.max(act_at + c.trc);
+            bank.row_misses += 1;
+            rank.record_act(act_at);
+            rank.next_act_rank = rank.next_act_rank.max(act_at + c.trrd);
+            chan.cmd_bus_free = act_at + c.tck;
+            trace.record(act_at, CommandKind::Activate, d.channel, d);
             self.stats.row_misses += 1;
             cursor = act_at;
-        } else {
-            let chan = &mut self.channels[ch_idx];
-            chan.banks[flat].row_hits += 1;
-            self.stats.row_hits += 1;
         }
 
         // Column command.
-        let (issue_at, data_done) = {
-            let chan = &mut self.channels[ch_idx];
-            let rank = &mut chan.ranks[d.rank as usize];
-            let bank = &mut chan.banks[flat];
-            let col_ready = if is_write {
-                bank.next_write
-            } else {
-                // tWTR: reads must wait after the end of write data.
-                bank.next_read.max(chan.last_write_data_end + twtr)
-            };
-            let issue_at = cursor
-                .max(col_ready)
-                .max(rank.next_any)
-                .max(chan.cmd_bus_free)
-                // The data bus must be free when our burst starts.
-                .max(
-                    chan.data_bus_free
-                        .saturating_sub(if is_write { cwl } else { cl }),
-                );
-            let latency = if is_write { cwl } else { cl };
-            let data_start = issue_at + latency;
-            let data_done = data_start + burst;
-            chan.cmd_bus_free = issue_at + one_ck;
-            chan.data_bus_free = chan.data_bus_free.max(data_done);
-            // Column-to-column spacing.
-            bank.next_read = bank.next_read.max(issue_at + tccd);
-            bank.next_write = bank.next_write.max(issue_at + tccd);
-            if is_write {
-                chan.last_write_data_end = chan.last_write_data_end.max(data_done);
-                // Write recovery gates precharge.
-                bank.next_pre = bank.next_pre.max(data_done + twr);
-            } else {
-                bank.next_pre = bank.next_pre.max(issue_at + trtp);
-            }
-            (issue_at, data_done)
+        let (col_ready, latency) = if is_write {
+            (bank.next_write, c.cwl)
+        } else {
+            // tWTR: reads must wait after the end of write data.
+            (bank.next_read.max(chan.last_write_data_end + c.twtr), c.cl)
         };
-        self.record(
-            issue_at,
-            if is_write {
-                CommandKind::Write
-            } else {
-                CommandKind::Read
-            },
-            d.channel,
-            d,
-        );
+        let issue_at = cursor
+            .max(col_ready)
+            .max(rank.next_any)
+            .max(chan.cmd_bus_free)
+            // The data bus must be free when our burst starts.
+            .max(chan.data_bus_free.saturating_sub(latency));
+        let data_done = issue_at + latency + c.burst;
+        chan.cmd_bus_free = issue_at + c.tck;
+        chan.data_bus_free = chan.data_bus_free.max(data_done);
+        // Column-to-column spacing.
+        bank.next_read = bank.next_read.max(issue_at + c.tccd);
+        bank.next_write = bank.next_write.max(issue_at + c.tccd);
+        let kind = if is_write {
+            chan.last_write_data_end = chan.last_write_data_end.max(data_done);
+            // Write recovery gates precharge.
+            bank.next_pre = bank.next_pre.max(data_done + c.twr);
+            CommandKind::Write
+        } else {
+            bank.next_pre = bank.next_pre.max(issue_at + c.trtp);
+            CommandKind::Read
+        };
+        trace.record(issue_at, kind, d.channel, d);
         data_done
     }
 
@@ -384,6 +414,11 @@ impl DramModel {
         let done = self.access(addr, false, earliest);
         done - earliest
     }
+}
+
+/// `a + b`, or [`Time::MAX`] where that overflows.
+fn saturating_add(a: Time, b: Time) -> Time {
+    a.checked_add(b).unwrap_or(Time::MAX)
 }
 
 /// Section tag of [`DramModel`] snapshots.
@@ -455,7 +490,7 @@ impl Snapshot for DramModel {
         self.stats.refreshes = r.get_u64()?;
         // The recorded command trace is a diagnostic artifact, not
         // simulation state; a restored model starts with an empty trace.
-        self.trace.clear();
+        self.trace.records.clear();
         Ok(())
     }
 }
@@ -627,6 +662,134 @@ mod tests {
         if let Ok(mut other) = DramModel::new(other_cfg) {
             assert!(restore_blob(&mut other, &blob).is_err());
         }
+    }
+
+    /// The refresh loop the folded catch-up replaced: every due refresh
+    /// in turn precharges the open banks, then blocks each rank for tRFC.
+    fn reference_refresh(m: &mut DramModel, ch: u32, now: Time) {
+        let ch_idx = ch as usize;
+        if !m.cfg.refresh_enabled {
+            return;
+        }
+        let trefi = m.clocks.trefi;
+        let trfc = m.clocks.trfc;
+        let trp = m.clocks.trp;
+        loop {
+            let due = m.channels[ch_idx].next_refresh;
+            if due > now {
+                break;
+            }
+            let org = m.cfg.organization;
+            for rank in 0..org.ranks {
+                let mut start = due;
+                let mut pres: Vec<(Time, DecodedAddr)> = Vec::new();
+                {
+                    let chan = &mut m.channels[ch_idx];
+                    for b in 0..org.banks_per_rank() {
+                        let flat = (rank * org.banks_per_rank() + b) as usize;
+                        let bank = &mut chan.banks[flat];
+                        if matches!(bank.state, BankState::Active { .. }) {
+                            let pre_at = due.max(bank.next_pre);
+                            bank.state = BankState::Precharged;
+                            bank.next_act = bank.next_act.max(pre_at + trp);
+                            start = start.max(pre_at + trp);
+                            pres.push((
+                                pre_at,
+                                DecodedAddr {
+                                    rank,
+                                    bank_group: b / org.banks_per_group,
+                                    bank: b % org.banks_per_group,
+                                    ..Default::default()
+                                },
+                            ));
+                        }
+                    }
+                }
+                for (pre_at, d) in pres {
+                    m.trace.record(pre_at, CommandKind::Precharge, ch, &d);
+                }
+                let end = start + trfc;
+                let chan = &mut m.channels[ch_idx];
+                for b in 0..org.banks_per_rank() {
+                    let bank = &mut chan.banks[(rank * org.banks_per_rank() + b) as usize];
+                    bank.state = BankState::Precharged;
+                    bank.next_act = bank.next_act.max(end);
+                }
+                chan.ranks[rank as usize].next_any = chan.ranks[rank as usize].next_any.max(end);
+                let rec = DecodedAddr {
+                    rank,
+                    ..Default::default()
+                };
+                m.trace.record(start, CommandKind::Refresh, ch, &rec);
+                m.stats.refreshes += 1;
+            }
+            m.channels[ch_idx].next_refresh = due + trefi;
+        }
+    }
+
+    #[test]
+    fn folded_refresh_matches_one_at_a_time_reference() {
+        use nvsim_types::snapshot::save_blob;
+        use nvsim_types::DetRng;
+        let mut rng = DetRng::seed_from(0x2ef);
+        let mut refreshes = 0;
+        for record in [false, true] {
+            for case in 0..60u64 {
+                let mut cfg = DramConfig::ddr4_2666_4gb();
+                cfg.organization.channels = 2;
+                cfg.organization.ranks = 1 << (case % 3);
+                cfg.record_commands = record;
+                let mut m = DramModel::new(cfg).unwrap();
+                let trefi = m.clocks.trefi;
+                // Random open rows and ACT windows, some accesses landing
+                // just before a refresh falls due so its PREs wait on
+                // tRAS and write recovery.
+                let cap = m.cfg.organization.capacity_bytes();
+                let mut now = Time::from_ps(rng.range_u64(0, 3 * trefi.as_ps()));
+                for _ in 0..rng.range_u64(0, 80) {
+                    let addr = Addr::new(rng.range_u64(0, cap) & !63);
+                    m.access(addr, rng.chance(0.4), now);
+                    now += Time::from_ps(rng.range_u64(0, 400_000));
+                }
+                for ch in 0..2 {
+                    let gap = rng.range_u64(0, 201);
+                    let due = m.channels[ch as usize].next_refresh;
+                    let at = if gap == 0 && rng.chance(0.5) {
+                        due.saturating_sub(Time::from_ps(1))
+                    } else {
+                        due + trefi * gap + Time::from_ps(rng.range_u64(0, trefi.as_ps()))
+                    };
+                    let mut folded = m.clone();
+                    folded.maybe_refresh(ch, at);
+                    reference_refresh(&mut m, ch, at);
+                    assert_eq!(folded.stats(), m.stats(), "case {case} ch {ch} gap {gap}");
+                    assert_eq!(save_blob(&folded), save_blob(&m), "case {case} gap {gap}");
+                    assert_eq!(folded.trace(), m.trace(), "case {case} gap {gap}");
+                    // Both continue identically.
+                    let addr = Addr::new(rng.range_u64(0, cap) & !63);
+                    assert_eq!(folded.access(addr, false, at), m.access(addr, false, at));
+                    assert_eq!(save_blob(&folded), save_blob(&m));
+                }
+                refreshes += m.stats().refreshes;
+            }
+        }
+        assert!(refreshes > 10_000, "{refreshes} refreshes");
+    }
+
+    #[test]
+    fn refresh_near_the_end_of_time_saturates() {
+        let mut m = DramModel::new(DramConfig::ddr4_2666_4gb()).unwrap();
+        m.access(Addr::new(0), true, Time::ZERO);
+        for now in [
+            Time::from_ps(1 << 62),
+            Time::from_ps(u64::MAX - 1),
+            Time::MAX,
+        ] {
+            m.maybe_refresh(0, now);
+            assert!(m.channels[0].next_refresh > now || now == Time::MAX);
+        }
+        assert!(m.stats().refreshes > (1 << 62) / m.clocks.trefi.as_ps());
+        assert_eq!(m.channels[0].banks[0].next_act, Time::MAX);
     }
 
     #[test]

@@ -138,6 +138,12 @@ impl MediaStats {
 pub struct XpointMedia {
     // nvsim-lint: allow(snapshot-field-coverage) — construction-time configuration; never mutated.
     cfg: MediaConfig,
+    // nvsim-lint: allow(snapshot-field-coverage) — derived from `cfg` at construction (log2 of the access unit); immutable.
+    unit_shift: u32,
+    // nvsim-lint: allow(snapshot-field-coverage) — derived from `cfg` at construction (dies − 1); immutable.
+    die_mask: u64,
+    // nvsim-lint: allow(snapshot-field-coverage) — derived from `cfg` at construction (one unit's bus time); immutable.
+    unit_bus_time: Time,
     die_free: Vec<Time>,
     bus_free: Time,
     stats: MediaStats,
@@ -155,8 +161,12 @@ impl XpointMedia {
     pub fn new(cfg: MediaConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let dies = cfg.dies as usize;
-        let units = cfg.capacity_bytes / cfg.access_unit as u64;
+        let unit_shift = cfg.access_unit.trailing_zeros();
+        let units = cfg.capacity_bytes >> unit_shift;
         Ok(XpointMedia {
+            unit_shift,
+            die_mask: u64::from(cfg.dies) - 1,
+            unit_bus_time: cfg.bus_time(cfg.access_unit as u64),
             cfg,
             die_free: vec![Time::ZERO; dies],
             bus_free: Time::ZERO,
@@ -182,40 +192,41 @@ impl XpointMedia {
 
     /// Lifetime write count of the access unit containing `addr`.
     pub fn unit_write_count(&self, addr: MediaAddr) -> u64 {
-        let unit = addr.raw() / self.cfg.access_unit as u64;
-        self.unit_writes.get(unit)
+        self.unit_writes.get(addr.raw() >> self.unit_shift)
     }
 
     fn access(&mut self, addr: MediaAddr, size: u32, earliest: Time, write: bool) -> Time {
         assert!(size > 0, "zero-size media access");
-        let unit = self.cfg.access_unit as u64;
-        let start_unit = addr.raw() / unit;
-        let end_unit = (addr.raw() + size as u64 - 1) / unit;
+        let start_unit = addr.raw() >> self.unit_shift;
+        let end_unit = (addr.raw() + size as u64 - 1) >> self.unit_shift;
         let lat = if write {
             self.cfg.write_latency
         } else {
             self.cfg.read_latency
         };
-        let bus = self.cfg.bus_time(unit);
         let mut done = earliest;
         for u in start_unit..=end_unit {
-            let die = (u % self.cfg.dies as u64) as usize;
+            let die = (u & self.die_mask) as usize;
             let start = earliest.max(self.die_free[die]);
             let array_done = start + lat;
             self.die_free[die] = array_done;
             // The unit's data then crosses the internal bus.
             let bus_start = array_done.max(self.bus_free);
-            let bus_done = bus_start + bus;
+            let bus_done = bus_start + self.unit_bus_time;
             self.bus_free = bus_done;
             done = done.max(bus_done);
             if write {
-                self.stats.units_written += 1;
-                self.stats.bytes_written += unit;
                 self.unit_writes.update(u, |count| count.saturating_add(1));
-            } else {
-                self.stats.units_read += 1;
-                self.stats.bytes_read += unit;
             }
+        }
+        let units = end_unit - start_unit + 1;
+        let bytes = units << self.unit_shift;
+        if write {
+            self.stats.units_written += units;
+            self.stats.bytes_written += bytes;
+        } else {
+            self.stats.units_read += units;
+            self.stats.bytes_read += bytes;
         }
         done
     }
@@ -355,6 +366,49 @@ mod tests {
         assert_eq!(m.stats().bytes_written, 512);
         m.reset_stats();
         assert_eq!(m.stats(), MediaStats::default());
+    }
+
+    #[test]
+    fn stats_and_unit_writes_match_per_unit_accounting() {
+        let mut m = media();
+        let mut stats = MediaStats::default();
+        let mut writes = std::collections::BTreeMap::new();
+        let mut rng = nvsim_types::DetRng::seed_from(0x3d);
+        let top = MediaConfig::optane_like().capacity_bytes;
+        for i in 0..2_000u64 {
+            // Aligned and straddling, single- and multi-unit, some at the
+            // top of the media and past it.
+            let size = [1, 64, 255, 256, 300, 512, 4096, 65536][rng.index(8)];
+            let addr = match i % 4 {
+                0 => rng.range_u64(0, 1 << 16),
+                1 => top - rng.range_u64(1, 8192),
+                2 => top + rng.range_u64(0, 8192),
+                _ => rng.range_u64(0, top),
+            };
+            let write = rng.chance(0.5);
+            let first = addr / 256;
+            let last = (addr + size as u64 - 1) / 256;
+            for u in first..=last {
+                if write {
+                    stats.units_written += 1;
+                    stats.bytes_written += 256;
+                    *writes.entry(u).or_insert(0u64) += 1;
+                } else {
+                    stats.units_read += 1;
+                    stats.bytes_read += 256;
+                }
+            }
+            if write {
+                m.write(MediaAddr::new(addr), size, Time::from_ns(i));
+            } else {
+                m.read(MediaAddr::new(addr), size, Time::from_ns(i));
+            }
+            assert_eq!(m.stats(), stats, "after access {i}");
+        }
+        assert!(stats.units_written > 1_000 && stats.units_read > 1_000);
+        let table: Vec<(u64, u64)> = m.unit_writes.iter().collect();
+        let reference: Vec<(u64, u64)> = writes.into_iter().collect();
+        assert_eq!(table, reference);
     }
 
     #[test]

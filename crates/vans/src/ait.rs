@@ -236,14 +236,13 @@ impl Ait {
     /// on a translation-cache miss. Returns `(media_addr_of_page, time)`.
     fn translate(&mut self, page: u64, t: Time) -> (MediaAddr, Time) {
         let mut done = t;
-        if self.tcache.contains(page) {
-            self.tcache.touch(page, false);
+        if self.tcache.touch_hit(page, false) {
             self.stats.translation_hits += 1;
         } else {
             self.stats.translation_misses += 1;
             done = self.dram_access(page, 0, false, done);
             self.recorder.record(Stage::AitWalk, t, done);
-            self.tcache.touch(page, false);
+            self.tcache.insert_missed(page, false);
         }
         let frame = self.translations.frame(page);
         (MediaAddr::new(frame * self.cfg.entry_bytes as u64), done)
@@ -267,12 +266,11 @@ impl Ait {
     /// Ensures the page is resident in the data buffer; returns the time
     /// data is available to forward. `write` marks the page dirty.
     fn ensure_resident(&mut self, page: u64, write: bool, t: Time) -> Time {
-        if self.buffer.contains(page) {
+        if self.buffer.touch_hit(page, write) {
             self.stats.buffer_hits += 1;
             // Data access in the on-DIMM DRAM.
             let done = self.dram_access(page, 64, write, t);
             self.recorder.record(Stage::AitCacheHit, t, done);
-            self.buffer.touch(page, write);
             return done;
         }
         self.stats.buffer_misses += 1;
@@ -289,8 +287,7 @@ impl Ait {
         // Posted: overlaps the data return, so this span does not tile.
         self.recorder
             .record(Stage::OnDimmDram, fetched, install_done);
-        let (_, evicted) = self.buffer.touch(page, write);
-        if let Some(ev) = evicted {
+        if let Some(ev) = self.buffer.insert_missed(page, write) {
             if ev.dirty {
                 self.writeback(ev.key, fetched);
             }
@@ -395,21 +392,20 @@ impl Ait {
     /// starts from realistically warm state.
     pub fn warm(&mut self, addr: Addr, write: bool) {
         let page = self.page_of(addr);
-        if self.buffer.contains(page) {
+        if self.buffer.touch_hit(page, write) {
             self.stats.buffer_hits += 1;
-            self.buffer.touch(page, write);
         } else {
             self.stats.buffer_misses += 1;
-            if self.tcache.contains(page) {
+            if self.tcache.touch_hit(page, false) {
                 self.stats.translation_hits += 1;
             } else {
                 self.stats.translation_misses += 1;
+                self.tcache.insert_missed(page, false);
             }
-            self.tcache.touch(page, false);
             self.translations.frame(page);
             // Dirty evictions are dropped without a timed write-back;
             // warming only tracks residency, not media traffic.
-            let _ = self.buffer.touch(page, write);
+            let _ = self.buffer.insert_missed(page, write);
         }
         if write {
             self.busy_pages.remove(&page);

@@ -97,17 +97,40 @@ impl LruBuffer {
     /// Returns the hit/miss outcome and, on insertion into a full buffer,
     /// the evicted victim.
     pub fn touch(&mut self, key: u64, write: bool) -> (Lookup, Option<Evicted>) {
-        if let Some(dirty) = self.lru.get(key) {
-            *dirty |= write;
-            self.hits += 1;
-            return (Lookup::Hit, None);
+        if self.touch_hit(key, write) {
+            (Lookup::Hit, None)
+        } else {
+            (Lookup::Miss, self.insert_missed(key, write))
         }
+    }
+
+    /// Accesses `key` only if it is resident: a hit becomes the most
+    /// recently used entry, is marked dirty if `write`, counts as a hit
+    /// and returns `true`. A miss changes nothing and returns `false`;
+    /// the caller then installs the key with
+    /// [`insert_missed`](Self::insert_missed), as [`touch`](Self::touch)
+    /// would, with one index probe fewer.
+    #[inline]
+    pub fn touch_hit(&mut self, key: u64, write: bool) -> bool {
+        match self.lru.get(key) {
+            Some(dirty) => {
+                *dirty |= write;
+                self.hits += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Installs `key`, which the caller has just seen miss, counting the
+    /// miss; `write` marks it dirty. Returns the victim evicted from a
+    /// full buffer.
+    #[inline]
+    pub fn insert_missed(&mut self, key: u64, write: bool) -> Option<Evicted> {
         self.misses += 1;
-        let evicted = self
-            .lru
+        self.lru
             .insert(key, write)
-            .map(|(key, dirty)| Evicted { key, dirty });
-        (Lookup::Miss, evicted)
+            .map(|(key, dirty)| Evicted { key, dirty })
     }
 
     /// Removes `key`, returning whether it was dirty.
@@ -185,6 +208,30 @@ mod tests {
         assert_eq!(ev.unwrap().key, 2);
         assert!(b.contains(1));
         assert!(b.contains(3));
+    }
+
+    #[test]
+    fn split_touch_matches_touch() {
+        let mut rng = nvsim_types::DetRng::seed_from(0xb0f);
+        let mut one = LruBuffer::new(64);
+        let mut split = LruBuffer::new(64);
+        for _ in 0..20_000 {
+            let key = rng.range_u64(0, 100);
+            let write = rng.chance(0.3);
+            let (res, evicted) = one.touch(key, write);
+            let hit = split.touch_hit(key, write);
+            assert_eq!(hit, res == Lookup::Hit);
+            if !hit {
+                assert_eq!(split.insert_missed(key, write), evicted);
+            }
+            assert_eq!(split.hit_miss(), one.hit_miss());
+        }
+        assert!(one.iter().eq(split.iter()));
+        let (hits, misses) = one.hit_miss();
+        assert!(
+            hits > 5_000 && misses > 5_000,
+            "{hits} hits, {misses} misses"
+        );
     }
 
     #[test]

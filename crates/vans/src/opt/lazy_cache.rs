@@ -139,13 +139,11 @@ impl LazyCache {
     /// a hit.
     pub fn try_read(&mut self, addr: Addr, t: Time) -> Option<Time> {
         let line = addr.line_index();
-        if self.lz1.contains(line) {
-            self.lz1.touch(line, false);
+        if self.lz1.touch_hit(line, false) {
             self.stats.lz1_read_hits += 1;
             return Some(t + self.cfg.lz1_latency);
         }
-        if self.lz2.contains(line / 2) {
-            self.lz2.touch(line / 2, false);
+        if self.lz2.touch_hit(line / 2, false) {
             self.stats.lz2_read_hits += 1;
             return Some(t + self.cfg.lz2_latency);
         }

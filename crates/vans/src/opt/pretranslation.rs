@@ -108,8 +108,7 @@ impl PreTranslation {
     /// time `t`.
     pub fn lookup(&mut self, paddr: Addr, t: Time) -> Option<PretransEntry> {
         let key = paddr.line_index();
-        if self.rlb.contains(key) {
-            self.rlb.touch(key, false);
+        if self.rlb.touch_hit(key, false) {
             let pfn = *self.table.get(&key)?;
             self.stats.rlb_hits += 1;
             return Some(PretransEntry {
@@ -119,7 +118,7 @@ impl PreTranslation {
         }
         if let Some(&pfn) = self.table.get(&key) {
             self.stats.table_hits += 1;
-            self.rlb.touch(key, false);
+            self.rlb.insert_missed(key, false);
             return Some(PretransEntry {
                 pfn,
                 ready_at: t + self.cfg.table_latency,

@@ -11,7 +11,7 @@
 //!   performs the read half of a read-modify-write — fetching the block
 //!   from the AIT — exactly the amplification LENS measures (Fig 6).
 
-use crate::buffer::{Lookup, LruBuffer};
+use crate::buffer::LruBuffer;
 use crate::config::RmwConfig;
 use nvsim_types::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use nvsim_types::{Addr, Time};
@@ -103,9 +103,8 @@ impl Rmw {
     pub fn read(&mut self, addr: Addr, t: Time) -> RmwOutcome {
         let sram_done = self.port(t);
         let key = self.key(addr);
-        let hit = self.blocks.contains(key);
+        let hit = self.blocks.touch_hit(key, false);
         if hit {
-            self.blocks.touch(key, false);
             self.stats.read_hits += 1;
         } else {
             self.stats.read_misses += 1;
@@ -131,7 +130,7 @@ impl Rmw {
         );
         let sram_done = self.port(t);
         let key = self.key(addr);
-        let hit = self.blocks.contains(key);
+        let hit = self.blocks.touch_hit(key, false);
         let full = bytes == self.cfg.entry_bytes;
         let needs_fill = !hit && !full;
         if hit {
@@ -141,10 +140,10 @@ impl Rmw {
         }
         if needs_fill {
             self.stats.rmw_fills += 1;
-        } else {
-            // Allocate immediately (full write or resident block).
-            // Entries are clean: the write is written through to the AIT.
-            self.blocks.touch(key, false);
+        } else if !hit {
+            // A full write allocates immediately. Entries are clean: the
+            // write is written through to the AIT.
+            self.blocks.insert_missed(key, false);
         }
         RmwOutcome {
             sram_done,
@@ -159,8 +158,11 @@ impl Rmw {
         let key = self.key(addr);
         self.stats.fill_bytes += self.cfg.entry_bytes as u64;
         // Entries are clean (write-through); evictions need no write-back.
-        let (res, _evicted) = self.blocks.touch(key, false);
-        debug_assert_eq!(res, Lookup::Miss, "fill of an already-resident block");
+        debug_assert!(
+            !self.blocks.contains(key),
+            "fill of an already-resident block"
+        );
+        self.blocks.insert_missed(key, false);
     }
 
     /// Functional-warming touch of the block containing `addr`: updates
@@ -169,8 +171,10 @@ impl Rmw {
     /// have fetched it from the AIT).
     pub fn warm(&mut self, addr: Addr) -> bool {
         let key = self.key(addr);
-        let hit = self.blocks.contains(key);
-        self.blocks.touch(key, false);
+        let hit = self.blocks.touch_hit(key, false);
+        if !hit {
+            self.blocks.insert_missed(key, false);
+        }
         !hit
     }
 

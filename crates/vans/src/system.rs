@@ -682,6 +682,20 @@ mod tests {
     }
 
     #[test]
+    fn one_load_after_a_long_skip_returns() {
+        // 2^62 ps is about 6 * 10^11 refresh intervals of the on-DIMM
+        // DRAM; the load that catches up on them takes constant time.
+        let mut s = sys();
+        s.execute(RequestDesc::load(Addr::new(0)));
+        let skip = Time::from_ps(1 << 62);
+        s.skip_to(skip);
+        let t = s.execute(RequestDesc::load(Addr::new(1 << 20)));
+        assert!(t > skip);
+        assert!(t - skip < Time::from_us(10), "{}", t - skip);
+        assert_eq!(s.counters().bus_reads, 2);
+    }
+
+    #[test]
     fn multi_line_load_touches_all_lines() {
         let mut s = sys();
         s.execute(RequestDesc::new(Addr::new(0), 256, MemOp::Load));
