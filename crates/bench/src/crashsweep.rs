@@ -10,43 +10,33 @@
 //! [`crashcheck`](mod@vans::crashcheck) oracle; any disagreement is a hard
 //! failure reported with the full request history of the offending line.
 //!
-//! The sweep rides on the parallel runner as
-//! [`Runnable::Whole`](crate::runner::Runnable::Whole) units, one per
-//! pattern; outputs merge in input order, so `results/crash.csv` is
-//! byte-identical across `--jobs` counts.
+//! The sweep rides on the parallel runner as [`Runnable::Whole`] units,
+//! one per pattern; outputs merge in input order, so `results/crash.csv`
+//! is byte-identical across `--jobs` counts.
+//!
+//! Every pattern takes a `smoke` flag: smoke mode shrinks stream lengths
+//! and the probabilistic-seed pool so CI can run the whole sweep in
+//! seconds.
 
 use crate::output::{ExpOutput, Series};
-use crate::ExperimentFn;
+use crate::runner::Runnable;
 use nvsim_types::{Addr, FaultPlan, MemOp, MemoryBackend, RequestDesc, SessionOptions};
-use std::sync::OnceLock;
 use vans::{crashcheck, MemorySystem, VansConfig};
 
-/// Smoke-mode switch: shrinks stream lengths and the probabilistic-seed
-/// pool so CI can run the whole sweep in seconds. Set once before the
-/// sweep starts (the pattern functions are `fn()` so they read a global).
-static SMOKE: OnceLock<bool> = OnceLock::new();
-
-/// Selects smoke mode for this process. Must be called before the first
-/// pattern runs; later calls are ignored (the first value wins).
-pub fn set_smoke(smoke: bool) {
-    let _ = SMOKE.set(smoke);
-}
-
-fn smoke() -> bool {
-    *SMOKE.get().unwrap_or(&false)
-}
-
 /// Stream length for the sweep patterns.
-fn stream_len() -> u64 {
-    if smoke() {
+fn stream_len(smoke: bool) -> u64 {
+    if smoke {
         16
     } else {
         64
     }
 }
 
+/// One sweep pattern: drives a fresh system, in smoke mode or full.
+pub type PatternFn = fn(bool) -> ExpOutput;
+
 /// The sweep patterns, in schedule (and output) order.
-pub const PATTERNS: [(&str, ExperimentFn); 6] = [
+pub const PATTERNS: [(&str, PatternFn); 6] = [
     ("nt_stream", nt_stream),
     ("store_clwb", store_clwb),
     ("plain_mix", plain_mix),
@@ -56,10 +46,10 @@ pub const PATTERNS: [(&str, ExperimentFn); 6] = [
 ];
 
 /// Builds the runner units for the sweep, one per pattern.
-pub fn runnables() -> Vec<(String, crate::runner::Runnable)> {
+pub fn runnables(smoke: bool) -> Vec<(String, Runnable)> {
     PATTERNS
         .iter()
-        .map(|&(name, f)| (format!("crash/{name}"), crate::runner::Runnable::Whole(f)))
+        .map(|&(name, f)| (format!("crash/{name}"), Runnable::whole(move || f(smoke))))
         .collect()
 }
 
@@ -109,7 +99,7 @@ pub fn total_mismatches(out: &ExpOutput) -> u64 {
 
 /// Runs one finished system through the fault-plan sweep and tabulates
 /// the crash images.
-fn sweep(pattern: &str, sys: &MemorySystem) -> ExpOutput {
+fn sweep(pattern: &str, sys: &MemorySystem, smoke: bool) -> ExpOutput {
     let mut plans: Vec<FaultPlan> = Vec::new();
     let total = sys.wpq_insertions();
     let mut ks: Vec<u64> = Vec::new();
@@ -125,7 +115,7 @@ fn sweep(pattern: &str, sys: &MemorySystem) -> ExpOutput {
             now * pct / 100,
         )));
     }
-    let seeds: u64 = if smoke() { 2 } else { 6 };
+    let seeds: u64 = if smoke { 2 } else { 6 };
     plans.extend((0..seeds).map(|s| FaultPlan::probabilistic(0xC0FFEE + s)));
 
     let mut out = ExpOutput::new(
@@ -191,19 +181,19 @@ fn tracked_system(cfg: VansConfig) -> MemorySystem {
 
 /// Fig 5-style nt-store stream: every line reaches the ADR domain, so
 /// every cut's durable set is exactly the admitted prefix plus nothing.
-fn nt_stream() -> ExpOutput {
+fn nt_stream(smoke: bool) -> ExpOutput {
     let mut sys = tracked_system(VansConfig::optane_1dimm());
-    for i in 0..stream_len() {
+    for i in 0..stream_len(smoke) {
         sys.execute(RequestDesc::nt_store(Addr::new(0x10_0000 + i * 64)));
     }
-    sweep("nt_stream", &sys)
+    sweep("nt_stream", &sys, smoke)
 }
 
 /// store + clwb pairs with a terminal fence: the clwb makes each line
 /// ADR-durable at WPQ acceptance, same contract as nt-stores.
-fn store_clwb() -> ExpOutput {
+fn store_clwb(smoke: bool) -> ExpOutput {
     let mut sys = tracked_system(VansConfig::optane_1dimm());
-    for i in 0..stream_len() {
+    for i in 0..stream_len(smoke) {
         sys.execute(RequestDesc::new(
             Addr::new(0x20_0000 + i * 64),
             64,
@@ -211,40 +201,40 @@ fn store_clwb() -> ExpOutput {
         ));
     }
     sys.execute(RequestDesc::fence());
-    sweep("store_clwb", &sys)
+    sweep("store_clwb", &sys, smoke)
 }
 
 /// Interleaved plain stores (region A) and nt-stores (region B): the
 /// plain-store lines route through the WPQ for timing but stay cached
 /// architecturally, so every cut must drop them while keeping the
 /// admitted nt-store prefix.
-fn plain_mix() -> ExpOutput {
+fn plain_mix(smoke: bool) -> ExpOutput {
     let mut sys = tracked_system(VansConfig::optane_1dimm());
-    for i in 0..stream_len() {
+    for i in 0..stream_len(smoke) {
         sys.execute(RequestDesc::store(Addr::new(0x2000 + i * 64)));
         sys.execute(RequestDesc::nt_store(Addr::new(0x80_0000 + i * 64)));
     }
-    sweep("plain_mix", &sys)
+    sweep("plain_mix", &sys, smoke)
 }
 
 /// 128 B nt-stores at offset 192 within each 256 B block: every write
 /// straddles two RMW blocks, so lines sit in the RMW buffer at the cut.
-fn rmw_straddle() -> ExpOutput {
+fn rmw_straddle(smoke: bool) -> ExpOutput {
     let mut sys = tracked_system(VansConfig::optane_1dimm());
-    for k in 0..stream_len() {
+    for k in 0..stream_len(smoke) {
         sys.execute(RequestDesc::new(
             Addr::new(0x40_0000 + k * 256 + 192),
             128,
             MemOp::NtStore,
         ));
     }
-    sweep("rmw_straddle", &sys)
+    sweep("rmw_straddle", &sys, smoke)
 }
 
 /// Hot-block rewrites past the wear threshold: power loss lands while a
 /// wear-leveling migration is in flight; migration copies must not
 /// promote lines the CPU never persisted.
-fn wear_migration() -> ExpOutput {
+fn wear_migration(smoke: bool) -> ExpOutput {
     let cfg = VansConfig::builder()
         .name("VANS-wear-crash")
         .wear_threshold(8)
@@ -252,20 +242,20 @@ fn wear_migration() -> ExpOutput {
         .build()
         .expect("valid crashsweep config");
     let mut sys = tracked_system(cfg);
-    let rounds = if smoke() { 4 } else { 12 };
+    let rounds = if smoke { 4 } else { 12 };
     for _ in 0..rounds {
         for i in 0..8u64 {
             sys.execute(RequestDesc::nt_store(Addr::new(0x6_0000 + i * 64)));
         }
         sys.execute(RequestDesc::fence());
     }
-    sweep("wear_migration", &sys)
+    sweep("wear_migration", &sys, smoke)
 }
 
 /// Two interleaved DIMMs with a stream spanning several 4 KB interleave
 /// granules: exercises the physical-address un-routing of per-DIMM
 /// write-back logs.
-fn nt_2dimm() -> ExpOutput {
+fn nt_2dimm(smoke: bool) -> ExpOutput {
     let cfg = VansConfig::builder()
         .name("VANS-2dimm-crash")
         .dimms(2)
@@ -274,11 +264,11 @@ fn nt_2dimm() -> ExpOutput {
     let mut sys = tracked_system(cfg);
     // Stride just under the 4 KB granularity so consecutive lines
     // alternate DIMMs across several granules.
-    for i in 0..stream_len() {
+    for i in 0..stream_len(smoke) {
         sys.execute(RequestDesc::nt_store(Addr::new(0x100_0000 + i * 4032)));
     }
     sys.execute(RequestDesc::fence());
-    sweep("nt_2dimm", &sys)
+    sweep("nt_2dimm", &sys, smoke)
 }
 
 #[cfg(test)]
@@ -287,8 +277,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_has_zero_mismatches_and_all_patterns() {
-        set_smoke(true);
-        let outputs: Vec<ExpOutput> = PATTERNS.iter().map(|&(_, f)| f()).collect();
+        let outputs: Vec<ExpOutput> = PATTERNS.iter().map(|&(_, f)| f(true)).collect();
         let combined = combine(outputs);
         assert_eq!(combined.id, "crash");
         assert_eq!(combined.series.len(), 6);
@@ -319,9 +308,8 @@ mod tests {
 
     #[test]
     fn combined_output_is_deterministic() {
-        set_smoke(true);
-        let a = combine(PATTERNS.iter().map(|&(_, f)| f()).collect());
-        let b = combine(PATTERNS.iter().map(|&(_, f)| f()).collect());
+        let a = combine(PATTERNS.iter().map(|&(_, f)| f(true)).collect());
+        let b = combine(PATTERNS.iter().map(|&(_, f)| f(true)).collect());
         assert_eq!(a, b);
     }
 }

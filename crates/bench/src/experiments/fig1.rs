@@ -73,7 +73,9 @@ fn assemble_fig1b(pmep_curve: Vec<(u64, f64)>, vans_curve: Vec<(u64, f64)>) -> E
     out
 }
 
-/// Fig 1b decomposed into sweep points for the parallel runner.
+/// Fig 1b: pointer-chasing read latency per cache line: PMEP flat, VANS
+/// staircased with knees at 16 KB and 16 MB. Decomposed into sweep points
+/// for the parallel runner.
 pub fn fig1b_split() -> Split {
     let regions = region_sweep();
     let n = regions.len();
@@ -94,10 +96,4 @@ pub fn fig1b_split() -> Split {
             assemble_fig1b(pmep_curve, vans_curve)
         }),
     }
-}
-
-/// Fig 1b: pointer-chasing read latency per cache line: PMEP flat, VANS
-/// staircased with knees at 16 KB and 16 MB.
-pub fn fig1b() -> ExpOutput {
-    fig1b_split().run_serial()
 }

@@ -142,7 +142,8 @@ fn assemble_fig13d(names: &[String], data: Vec<crate::runner::PointData>) -> Exp
     out
 }
 
-/// Fig 13d decomposed: one sweep point per (workload, mode, window).
+/// Fig 13d: speedups of the three optimization configurations,
+/// decomposed into one sweep point per (workload, mode, window).
 pub fn fig13d_split() -> Split {
     let names = workload_names();
     let modes = [
@@ -163,11 +164,6 @@ pub fn fig13d_split() -> Split {
         points,
         finish: Box::new(move |data| assemble_fig13d(&names, data)),
     }
-}
-
-/// Fig 13d: speedups of the three optimization configurations.
-pub fn fig13d() -> ExpOutput {
-    fig13d_split().run_serial()
 }
 
 /// Assembles fig 13e: TLB MPKI normalized to baseline, with propagated
@@ -215,7 +211,8 @@ fn assemble_fig13e(names: &[String], data: Vec<crate::runner::PointData>) -> Exp
     out
 }
 
-/// Fig 13e decomposed: one sweep point per (workload, mode, window).
+/// Fig 13e: Pre-translation's TLB MPKI reduction, decomposed into one
+/// sweep point per (workload, mode, window).
 pub fn fig13e_split() -> Split {
     let names = workload_names();
     let mut points = Vec::new();
@@ -230,9 +227,4 @@ pub fn fig13e_split() -> Split {
         points,
         finish: Box::new(move |data| assemble_fig13e(&names, data)),
     }
-}
-
-/// Fig 13e: Pre-translation's TLB MPKI reduction.
-pub fn fig13e() -> ExpOutput {
-    fig13e_split().run_serial()
 }

@@ -36,7 +36,8 @@ fn assemble_fig5a(ld: Vec<(u64, f64)>, st: Vec<(u64, f64)>) -> ExpOutput {
     out
 }
 
-/// Fig 5a decomposed into sweep points for the parallel runner.
+/// Fig 5a: ld/st latency per CL, 64 B PC-blocks. Decomposed into sweep points
+/// for the parallel runner.
 pub fn fig5a_split() -> Split {
     let regions = region_sweep();
     let n = regions.len();
@@ -57,11 +58,6 @@ pub fn fig5a_split() -> Split {
             assemble_fig5a(ld, st)
         }),
     }
-}
-
-/// Fig 5a: ld/st latency per CL, 64 B PC-blocks.
-pub fn fig5a() -> ExpOutput {
-    fig5a_split().run_serial()
 }
 
 /// Assembles fig 5b from the measured 64 B and 256 B curves.
@@ -86,7 +82,8 @@ fn assemble_fig5b(
     out
 }
 
-/// Fig 5b decomposed into sweep points for the parallel runner.
+/// Fig 5b: the same with 256 B PC-blocks. Decomposed into sweep points
+/// for the parallel runner.
 pub fn fig5b_split() -> Split {
     let regions: Vec<u64> = region_sweep().into_iter().filter(|&r| r >= 256).collect();
     let n = regions.len();
@@ -117,11 +114,6 @@ pub fn fig5b_split() -> Split {
     }
 }
 
-/// Fig 5b: the same with 256 B PC-blocks.
-pub fn fig5b() -> ExpOutput {
-    fig5b_split().run_serial()
-}
-
 /// Assembles fig 5c from the measured RaW / ld / st curves.
 fn assemble_fig5c(raw: Vec<(u64, f64)>, ld: Vec<(u64, f64)>, st: Vec<(u64, f64)>) -> ExpOutput {
     let mut out = ExpOutput::new(
@@ -148,7 +140,8 @@ fn assemble_fig5c(raw: Vec<(u64, f64)>, ld: Vec<(u64, f64)>, st: Vec<(u64, f64)>
     out
 }
 
-/// Fig 5c decomposed into sweep points for the parallel runner.
+/// Fig 5c: read-after-write roundtrip vs R+W. Decomposed into sweep points
+/// for the parallel runner.
 pub fn fig5c_split() -> Split {
     let regions = region_sweep();
     let n = regions.len();
@@ -183,11 +176,6 @@ pub fn fig5c_split() -> Split {
             assemble_fig5c(raw, ld, st)
         }),
     }
-}
-
-/// Fig 5c: read-after-write roundtrip vs R+W.
-pub fn fig5c() -> ExpOutput {
-    fig5c_split().run_serial()
 }
 
 /// Fig 5d: L2 TLB MPKI of the load test stays flat across regions.

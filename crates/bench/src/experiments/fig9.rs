@@ -93,7 +93,8 @@ fn validation_split(id: &'static str, dimms: u32, regions: Vec<u64>) -> Split {
     }
 }
 
-/// Fig 9a decomposed into sweep points for the parallel runner.
+/// Fig 9a: 1-DIMM validation, decomposed into sweep points for the
+/// parallel runner.
 pub fn fig9a_split() -> Split {
     validation_split("fig9a", 1, region_sweep())
 }
@@ -109,19 +110,10 @@ pub fn fig9a_subset_split(max_region: u64) -> Split {
     validation_split("fig9a", 1, regions)
 }
 
-/// Fig 9a: 1-DIMM validation.
-pub fn fig9a() -> ExpOutput {
-    fig9a_split().run_serial()
-}
-
-/// Fig 9b decomposed into sweep points for the parallel runner.
+/// Fig 9b: 6-DIMM interleaved validation, decomposed into sweep points
+/// for the parallel runner.
 pub fn fig9b_split() -> Split {
     validation_split("fig9b", 6, region_sweep())
-}
-
-/// Fig 9b: 6-DIMM interleaved validation.
-pub fn fig9b() -> ExpOutput {
-    fig9b_split().run_serial()
 }
 
 /// Fig 9c: RMW-buffer read amplification, VANS counters vs reference.
@@ -232,8 +224,9 @@ fn assemble_fig9e(ld: Vec<(u64, f64)>, st: Vec<(u64, f64)>, bw_ld: f64, bw_st: f
     out
 }
 
-/// Fig 9e decomposed: one point per latency region plus one per
-/// bandwidth stream.
+/// Fig 9e: overall accuracy across lat-ld / lat-st / bw-ld / bw-st,
+/// decomposed into one point per latency region plus one per bandwidth
+/// stream.
 pub fn fig9e_split() -> Split {
     let regions = region_sweep();
     let n = regions.len();
@@ -273,9 +266,4 @@ pub fn fig9e_split() -> Split {
             assemble_fig9e(ld, st, bw_ld, bw_st)
         }),
     }
-}
-
-/// Fig 9e: overall accuracy across lat-ld / lat-st / bw-ld / bw-st.
-pub fn fig9e() -> ExpOutput {
-    fig9e_split().run_serial()
 }

@@ -11,12 +11,6 @@
 //! nvsim-bench crashsweep         # power-fail injection sweep -> results/crash.csv
 //! nvsim-bench crashsweep --smoke # reduced sweep for CI
 //! nvsim-bench snapsmoke          # checkpoint determinism smoke -> results/snapsmoke.csv
-//! nvsim-bench serve-bench        # service load gen -> BENCH_serve.json
-//! nvsim-bench serve-bench --smoke# same, CI-sized
-//! nvsim-bench serve-bench --transport socket|stdio|inproc
-//!                                # same loop through a real daemon
-//!                                # event loop (keys socket_*/stdio_*)
-//! nvsim-bench serve-smoke        # service determinism byte-compare (workers 1 vs 2)
 //! ```
 //!
 //! Worker count: `--jobs N`, else the machine's available parallelism.
@@ -28,7 +22,7 @@
     clippy::allow_attributes_without_reason
 )]
 
-use nvsim_bench::{registry, runnable_for, runner, tracecmd};
+use nvsim_bench::{registry, runner, tracecmd};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -105,7 +99,6 @@ fn main() {
     }
     if args[0] == "crashsweep" {
         let smoke = args.iter().any(|a| a == "--smoke");
-        nvsim_bench::crashsweep::set_smoke(smoke);
         let jobs = runner::resolve_jobs(jobs_arg);
         eprintln!(
             ">> crash-consistency sweep ({} mode) on {jobs} worker(s) ...",
@@ -113,7 +106,8 @@ fn main() {
         );
         let start = Instant::now();
         let progress = |label: &str, secs: f64| eprintln!("<< {label} done in {secs:.1}s");
-        let outputs = runner::run(nvsim_bench::crashsweep::runnables(), jobs, Some(&progress));
+        let units = nvsim_bench::crashsweep::runnables(smoke);
+        let outputs = runner::run(units, jobs, Some(&progress));
         let combined = nvsim_bench::crashsweep::combine(outputs);
         println!("{combined}");
         let results_dir = PathBuf::from("results");
@@ -154,59 +148,6 @@ fn main() {
         if failures > 0 {
             eprintln!("snapsmoke FAILED: restore-then-run diverged from straight-through");
             std::process::exit(1);
-        }
-        return;
-    }
-    if args[0] == "serve-bench" {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let shape = if smoke {
-            nvsim_bench::servebench::LoadShape::smoke()
-        } else {
-            nvsim_bench::servebench::LoadShape::full()
-        };
-        let transport = match args.iter().position(|a| a == "--transport") {
-            None => nvsim_bench::servebench::Transport::Inproc,
-            Some(i) => match args
-                .get(i + 1)
-                .and_then(|v| nvsim_bench::servebench::Transport::parse(v))
-            {
-                Some(t) => t,
-                None => {
-                    eprintln!("--transport needs one of: inproc, socket, stdio");
-                    std::process::exit(2);
-                }
-            },
-        };
-        let path = PathBuf::from("BENCH_serve.json");
-        for workers in [1usize, 8] {
-            eprintln!(
-                ">> serve closed loop ({} shape, {transport:?} transport) on {workers} worker(s) ...",
-                if smoke { "smoke" } else { "full" }
-            );
-            let entries = nvsim_bench::servebench::transport_loop(transport, workers, shape);
-            for (k, v) in &entries {
-                println!("{k:<32} {v:>14.1}");
-            }
-            if let Err(e) = nvsim_bench::perf::record(&path, "serve", entries) {
-                eprintln!("could not write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        eprintln!("recorded -> {}", path.display());
-        return;
-    }
-    if args[0] == "serve-smoke" {
-        eprintln!(">> serve determinism smoke (workers 1 vs 2) ...");
-        let start = Instant::now();
-        match nvsim_bench::servebench::smoke_bytes_match() {
-            Ok(frames) => eprintln!(
-                "== serve-smoke in {:.1}s: {frames} response frames byte-identical",
-                start.elapsed().as_secs_f64()
-            ),
-            Err(e) => {
-                eprintln!("serve-smoke FAILED: {e}");
-                std::process::exit(1);
-            }
         }
         return;
     }
@@ -261,11 +202,11 @@ fn main() {
     };
     let mut exps: Vec<(String, runner::Runnable)> = Vec::with_capacity(ids.len());
     for id in &ids {
-        let Some(r) = runnable_for(id) else {
+        let Some(make) = reg.get(id) else {
             eprintln!("unknown experiment `{id}` (try `list`)");
             std::process::exit(2);
         };
-        exps.push(((*id).to_owned(), r));
+        exps.push(((*id).to_owned(), make()));
     }
 
     let jobs = runner::resolve_jobs(jobs_arg);

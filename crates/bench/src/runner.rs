@@ -21,7 +21,6 @@
 //!   order, never in completion order.
 
 use crate::output::ExpOutput;
-use crate::ExperimentFn;
 use nvsim::serve::executor::run_indexed;
 use std::time::Instant;
 
@@ -31,6 +30,9 @@ pub type PointData = Vec<(u64, f64)>;
 /// The merge step of a [`Split`]: assembles the experiment output from
 /// per-point samples delivered in point-schedule order.
 pub type FinishFn = Box<dyn FnOnce(Vec<PointData>) -> ExpOutput + Send>;
+
+/// The work of a [`Runnable::Whole`] experiment.
+pub type WholeFn = Box<dyn FnOnce() -> ExpOutput + Send>;
 
 /// A progress callback: `(unit label, wall-clock seconds)`; called from
 /// worker threads as units complete.
@@ -75,10 +77,8 @@ pub struct Split {
 
 impl Split {
     /// Runs every point in schedule order on the calling thread and
-    /// assembles the output. The registry's serial experiment functions
-    /// are thin wrappers around this, so the serial path and the
-    /// parallel path share every line of measurement and assembly code —
-    /// equality of their outputs is structural, not coincidental.
+    /// assembles the output: the reference the threaded [`run`] must
+    /// reproduce, byte for byte, at any worker count.
     pub fn run_serial(self) -> ExpOutput {
         let data: Vec<PointData> = self.points.into_iter().map(|p| (p.run)()).collect();
         (self.finish)(data)
@@ -89,9 +89,16 @@ impl Split {
 pub enum Runnable {
     /// One indivisible unit (the default adapter for experiments without
     /// a point decomposition).
-    Whole(ExperimentFn),
+    Whole(WholeFn),
     /// Point-decomposed.
     Split(Split),
+}
+
+impl Runnable {
+    /// Wraps a closure as one indivisible unit.
+    pub fn whole(run: impl FnOnce() -> ExpOutput + Send + 'static) -> Self {
+        Runnable::Whole(Box::new(run))
+    }
 }
 
 /// Resolves the number of worker threads: an explicit request wins, then
@@ -132,7 +139,7 @@ struct Unit {
 }
 
 enum UnitKind {
-    Whole(ExperimentFn),
+    Whole(WholeFn),
     Point(Box<dyn FnOnce() -> PointData + Send>),
 }
 
@@ -315,7 +322,7 @@ mod tests {
                 "s0".to_owned(),
                 Runnable::Split(counting_split(0, 4, &counters, 0)),
             ),
-            ("whole".to_owned(), Runnable::Whole(whole_out)),
+            ("whole".to_owned(), Runnable::whole(whole_out)),
         ];
         let outs = run(exps, 3, None);
         assert_eq!(outs[0].id, "exp0");

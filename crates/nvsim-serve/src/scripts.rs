@@ -1,6 +1,6 @@
 //! Canonical workload scripts: deterministic command-stream builders
-//! shared by the bench load generator, the daemon smoke client and the
-//! transport tests.
+//! shared by the benchmark's serve-socket workload, the daemon smoke
+//! client and the transport tests.
 //!
 //! Everything here is a pure function of its arguments (the batch
 //! generator seeds a [`DetRng`] from `(sid, round)`), so any two
@@ -74,9 +74,9 @@ pub fn smoke_script() -> Vec<u8> {
     encode(&cmds)
 }
 
-/// A small per-connection workload for multi-connection tests and the
-/// transport load generator: open, `rounds` batches, save, close — all
-/// deterministic in `(seed, rounds, batch)`.
+/// A small per-connection workload for the multi-connection transport
+/// tests: open, `rounds` batches, save, close — all deterministic in
+/// `(seed, rounds, batch)`.
 pub fn connection_script(seed: u64, rounds: u64, batch: u64) -> Vec<u8> {
     let sid = seed % 7;
     let mut cmds = vec![open_cmd(sid)];

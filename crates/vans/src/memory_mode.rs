@@ -58,7 +58,7 @@ pub struct MemoryModeSystem {
     /// Direct-mapped tag array: set index → (tag, dirty).
     #[expect(
         clippy::disallowed_types,
-        reason = "lookup-only by set index, never iterated"
+        reason = "looked up by set index; the one walk, in `save`, sorts the entries first"
     )]
     tags: HashMap<u64, (u64, bool)>,
     /// Number of cache sets (DRAM capacity / 64 B).
@@ -88,7 +88,7 @@ impl MemoryModeSystem {
         Ok(MemoryModeSystem {
             nvram,
             dram,
-            #[expect(clippy::disallowed_types, reason = "see field docs: never iterated")]
+            #[expect(clippy::disallowed_types, reason = "see the field's reason")]
             tags: HashMap::new(),
             sets,
             in_flight: InFlight::default(),

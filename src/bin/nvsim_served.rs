@@ -27,6 +27,7 @@
 use nvsim::backends::build_server;
 use nvsim::serve::{daemon, scripts, ServerConfig, TransportConfig};
 use std::io::{self, Write};
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 #[expect(
     clippy::disallowed_types,
@@ -120,10 +121,12 @@ impl Args {
                         .parse()
                         .map_err(|e| format!("--warm-capacity: {e}"))?
                 }
+                // At 0 the socket loop would never read a connection.
                 "--max-conn-commands" => {
                     args.max_conn_commands = value(&mut it, "--max-conn-commands")?
-                        .parse()
+                        .parse::<NonZeroUsize>()
                         .map_err(|e| format!("--max-conn-commands: {e}"))?
+                        .get()
                 }
                 "--max-conn-response-bytes" => {
                     args.max_conn_response_bytes = value(&mut it, "--max-conn-response-bytes")?

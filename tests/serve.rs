@@ -282,18 +282,21 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Wire-format transcript: the smoke script CI's daemon smoke replays,
 /// and the in-process reply the daemon must match byte for byte, are
-/// pinned by length and FNV-1a 64. A change to the protocol encoding or
-/// to any session's response bytes fails here, so it is a deliberate
-/// regeneration.
+/// pinned by length and FNV-1a 64, at one worker and at two. A change to
+/// the protocol encoding or to any session's response bytes fails here,
+/// so it is a deliberate regeneration; a reply that depends on the
+/// worker count fails here too.
 #[test]
 fn golden_smoke_transcript() {
     let script = smoke_script();
-    let reply = build_server(ServerConfig::default())
-        .run_script(&script)
-        .expect("valid script");
-    assert_eq!(
-        (script.len(), fnv1a64(&script), reply.len(), fnv1a64(&reply)),
-        (1_798, 0x9ced_4c5c_9425_01f1, 2_552, 0xb75a_310c_85c5_de71),
-        "script length, script digest, reply length, reply digest"
-    );
+    for workers in [1, 2] {
+        let reply = build_server(ServerConfig::with_workers(workers))
+            .run_script(&script)
+            .expect("valid script");
+        assert_eq!(
+            (script.len(), fnv1a64(&script), reply.len(), fnv1a64(&reply)),
+            (1_798, 0x9ced_4c5c_9425_01f1, 2_552, 0xb75a_310c_85c5_de71),
+            "workers={workers}: script length, script digest, reply length, reply digest"
+        );
+    }
 }

@@ -559,3 +559,30 @@ fn stdio_stream_matches_the_oracle() {
     .expect("truncation is not an I/O error");
     assert_eq!(out, oracle(&encode(&complete_prefix(&script[..cut]))));
 }
+
+/// A command budget of 0 would stop the socket loop from ever reading a
+/// connection, so every client would wait forever: the daemon refuses
+/// it at startup and names the flag.
+#[test]
+fn daemon_rejects_a_zero_command_budget() {
+    use std::time::{Duration, Instant};
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nvsim-served"))
+        .args(["--listen", "127.0.0.1:0", "--max-conn-commands", "0"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn nvsim-served");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("poll nvsim-served").is_none() {
+        if Instant::now() >= deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("nvsim-served started serving with --max-conn-commands 0");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("read stderr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stderr:\n{stderr}");
+    assert!(stderr.contains("--max-conn-commands"), "stderr:\n{stderr}");
+}
